@@ -19,6 +19,7 @@ from .core import (
     TruncatedFileError,
     load_annotations,
     load_assignment_file,
+    load_feature_header,
     load_features,
     load_manifest,
     parse_annotation_file,
@@ -48,10 +49,7 @@ from .metrics import (
     dataset_stats,
     full_report,
     hungarian,
-    legacy_metrics,
     match_labels,
-    mof,
-    per_keystep_metrics,
 )
 from .order import KeyStepOrder, induced_sequence, keystep_order
 from .procut import (

@@ -33,6 +33,7 @@ from .core import (
     ManifestEntry,
     TaskManifest,
     load_assignment_file,
+    load_feature_header,
     load_manifest,
     save_annotation_file,
     save_assignment_file,
@@ -51,13 +52,7 @@ from .embed import (
 from .metrics import dataset_stats, format_report, format_stats, full_report
 from .order import format_order, keystep_order
 from .procut import PcmConfig, localize
-from .synthbench import (
-    SynthSpec,
-    annotation_to_assignment,
-    compare_methods,
-    format_benchmark,
-    generate,
-)
+from .synthbench import SynthSpec, compare_methods, format_benchmark, generate
 
 __all__ = ["main", "run"]
 
@@ -294,13 +289,10 @@ def _load_assignments(cfg: dict[str, object], manifest: TaskManifest, K: int) ->
 
 def _gt_assignment(manifest: TaskManifest) -> KeyStepAssignment:
     annotation = manifest.load_annotation()
-    sequences = manifest.load_feature_sequences()
-    per_video = {
-        seq.video_id: segments_to_frame_labels(
-            annotation, seq.video_id, seq.num_frames, seq.fps
-        )
-        for seq in sequences
-    }
+    per_video = {}
+    for entry in manifest.entries:
+        T, _, fps = load_feature_header(entry.feature_path)
+        per_video[entry.video_id] = segments_to_frame_labels(annotation, entry.video_id, T, fps)
     return KeyStepAssignment(per_video=per_video, K=annotation.K)
 
 

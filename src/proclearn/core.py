@@ -17,6 +17,7 @@ to share across threads for reading.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +38,7 @@ __all__ = [
     "TaskManifest",
     "ManifestEntry",
     "load_features",
+    "load_feature_header",
     "save_features",
     "parse_annotation_file",
     "load_annotations",
@@ -142,22 +144,7 @@ class TaskAnnotation:
             duration = self.durations[video_id]
             if not (duration > 0):
                 raise AnnotationError(f"duration of {video_id!r} must be positive")
-            for seg in segments:
-                if seg.label_id > self.K:
-                    raise AnnotationError(
-                        f"{video_id!r}: label {seg.label_id} exceeds K={self.K}"
-                    )
-                if seg.end_s > duration + 1e-9:
-                    raise AnnotationError(
-                        f"{video_id!r}: segment end {seg.end_s} exceeds duration {duration}"
-                    )
-            ordered = sorted(segments, key=lambda s: s.start_s)
-            for prev, cur in zip(ordered, ordered[1:]):
-                if cur.start_s < prev.end_s:
-                    raise AnnotationError(
-                        f"{video_id!r}: segments ({prev.start_s},{prev.end_s}) and "
-                        f"({cur.start_s},{cur.end_s}) overlap"
-                    )
+            _check_segments(segments, duration, self.K, repr(video_id))
 
     @property
     def num_videos(self) -> int:
@@ -219,16 +206,11 @@ def save_features(path: str | Path, sequence: FeatureSequence) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def load_features(path: str | Path, video_id: str | None = None) -> FeatureSequence:
-    """Read a feature file, rejecting malformed headers and non-finite data.
-
-    ``video_id`` defaults to the file's stem.
-    """
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
+def _parse_header(path: Path, head: bytes, size: int) -> tuple[int, int, float]:
+    """Check a feature file's header against the file's byte size; return T, D, fps."""
+    if size < _HEADER.size:
         raise TruncatedFileError(f"{path}: file shorter than feature header")
-    magic, version, T, D, fps = _HEADER.unpack_from(raw)
+    magic, version, T, D, fps = _HEADER.unpack_from(head)
     if magic != FEATURE_MAGIC:
         raise FileFormatError(f"{path}: bad magic {magic!r}")
     if version != FEATURE_VERSION:
@@ -236,18 +218,42 @@ def load_features(path: str | Path, video_id: str | None = None) -> FeatureSeque
     if T < 1 or D < 1:
         raise FileFormatError(f"{path}: header declares empty matrix ({T} x {D})")
     expected = _HEADER.size + T * D * 8
-    if len(raw) < expected:
+    if size < expected:
         raise TruncatedFileError(
-            f"{path}: payload holds {len(raw) - _HEADER.size} bytes, expected {T * D * 8}"
+            f"{path}: payload holds {size - _HEADER.size} bytes, expected {T * D * 8}"
         )
-    if len(raw) > expected:
-        raise FileFormatError(f"{path}: {len(raw) - expected} trailing bytes")
+    if size > expected:
+        raise FileFormatError(f"{path}: {size - expected} trailing bytes")
+    if not (fps > 0) or not np.isfinite(fps):
+        raise ValueError(f"{path}: invalid fps {fps}")
+    return T, D, fps
+
+
+def load_feature_header(path: str | Path) -> tuple[int, int, float]:
+    """Read only a feature file's header and return T, D, fps.
+
+    Applies every check of ``load_features`` except the payload's finiteness;
+    the payload length comes from the file size.
+    """
+    path = Path(path)
+    with path.open("rb") as handle:
+        head = handle.read(_HEADER.size)
+        size = os.fstat(handle.fileno()).st_size
+    return _parse_header(path, head, size)
+
+
+def load_features(path: str | Path, video_id: str | None = None) -> FeatureSequence:
+    """Read a feature file, rejecting malformed headers and non-finite data.
+
+    ``video_id`` defaults to the file's stem.
+    """
+    path = Path(path)
+    raw = path.read_bytes()
+    T, D, fps = _parse_header(path, raw, len(raw))
     feats = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(T, D)
     if not np.isfinite(feats).all():
         bad = np.argwhere(~np.isfinite(feats))[0]
         raise ValueError(f"{path}: non-finite value at row {bad[0]}, column {bad[1]}")
-    if not (fps > 0) or not np.isfinite(fps):
-        raise ValueError(f"{path}: invalid fps {fps}")
     return FeatureSequence(
         video_id=video_id if video_id is not None else path.stem,
         features=feats.astype(np.float64),
@@ -286,22 +292,32 @@ def parse_annotation_file(
             start_s, end_s, label_id = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-        if label_id > K:
-            raise AnnotationError(f"{path}:{lineno}: label {label_id} exceeds K={K}")
         segments.append(KeyStepSegment(start_s, end_s, label_id))
+    _check_segments(segments, duration, K, str(path))
+    return segments
+
+
+def _check_segments(
+    segments: list[KeyStepSegment], duration: float, K: int, where: str
+) -> None:
+    """Reject labels above K, ends past ``duration``, and overlapping segments.
+
+    ``where`` names the file or video in the error message.
+    """
     for seg in segments:
+        if seg.label_id > K:
+            raise AnnotationError(f"{where}: label {seg.label_id} exceeds K={K}")
         if seg.end_s > duration + 1e-9:
             raise AnnotationError(
-                f"{path}: segment end {seg.end_s} exceeds duration {duration}"
+                f"{where}: segment end {seg.end_s} exceeds duration {duration}"
             )
     ordered = sorted(segments, key=lambda s: s.start_s)
     for prev, cur in zip(ordered, ordered[1:]):
         if cur.start_s < prev.end_s:
             raise AnnotationError(
-                f"{path}: segments ({prev.start_s},{prev.end_s}) and "
+                f"{where}: segments ({prev.start_s},{prev.end_s}) and "
                 f"({cur.start_s},{cur.end_s}) overlap"
             )
-    return segments
 
 
 def load_annotations(
@@ -371,11 +387,10 @@ class TaskManifest:
         ]
 
     def load_annotation(self) -> TaskAnnotation:
-        """Load ground truth for every annotated video; requires all entries annotated."""
-        sequences = {
-            entry.video_id: load_features(entry.feature_path, video_id=entry.video_id)
-            for entry in self.entries
-        }
+        """Load ground truth for every annotated video; requires all entries annotated.
+
+        Durations come from the feature files' headers alone.
+        """
         per_video = {}
         durations = {}
         for entry in self.entries:
@@ -383,7 +398,8 @@ class TaskManifest:
                 raise AnnotationError(
                     f"video {entry.video_id!r} has no annotation file in the manifest"
                 )
-            duration = sequences[entry.video_id].duration
+            T, _, fps = load_feature_header(entry.feature_path)
+            duration = T / fps
             per_video[entry.video_id] = parse_annotation_file(
                 entry.annotation_path, duration, self.K
             )
@@ -428,7 +444,11 @@ def load_manifest(path: str | Path) -> TaskManifest:
 
 
 def save_manifest(path: str | Path, manifest: TaskManifest) -> None:
-    """Write a manifest; stored paths are made relative to the manifest directory."""
+    """Write a manifest; stored paths are made relative to the manifest directory.
+
+    Entry paths are read as given from the working directory. Those outside
+    the manifest's directory are stored absolute.
+    """
     path = Path(path)
     base = path.parent
     lines = [f"task,{manifest.task_name},{manifest.K}"]
@@ -443,6 +463,7 @@ def save_manifest(path: str | Path, manifest: TaskManifest) -> None:
 
 
 def _relative_to(target: Path, base: Path) -> str:
+    target, base = Path(os.path.abspath(target)), Path(os.path.abspath(base))
     try:
         return target.relative_to(base).as_posix()
     except ValueError:

@@ -110,6 +110,8 @@ class TrainConfig:
     embed_dim: int = 16
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
         if not (self.temperature > 0):
             raise ValueError("temperature must be positive")
         if not (self.variance_floor > 0):

@@ -9,6 +9,12 @@ protocol pools frames across key-steps first. The pooled variant rewards
 degenerate single-cluster predictions; the per-key-step mean does not, which
 is the point of reporting both. MoF (mean over frames) counts background.
 
+Every score comes from one (K+1) x (K+1) frame-overlap matrix per
+(prediction, ground truth) pair, the same matrix the matching runs on. With
+its rows relabeled through the mapping, the intersection of a key-step is the
+diagonal entry, its predicted and true sizes are the row and column sums, and
+MoF is the trace over the total.
+
 Empty-set convention used throughout: a ratio with an empty denominator is 1
 when the other set is empty too, otherwise 0.
 """
@@ -28,9 +34,6 @@ __all__ = [
     "DatasetStats",
     "hungarian",
     "match_labels",
-    "per_keystep_metrics",
-    "legacy_metrics",
-    "mof",
     "full_report",
     "dataset_stats",
     "format_report",
@@ -151,20 +154,22 @@ def _check_compatible(pred: KeyStepAssignment, gt: KeyStepAssignment) -> None:
             raise ValueError(f"frame count mismatch for video {video_id!r}")
 
 
+def _overlap(pred: KeyStepAssignment, gt: KeyStepAssignment) -> np.ndarray:
+    """(K+1) x (K+1) frame counts: entry [p, g] counts frames predicted p with truth g."""
+    _check_compatible(pred, gt)
+    overlap = np.zeros((gt.K + 1, gt.K + 1), dtype=np.int64)
+    for video_id in gt.per_video:
+        np.add.at(overlap, (pred.per_video[video_id], gt.per_video[video_id]), 1)
+    return overlap
+
+
 def match_labels(pred: KeyStepAssignment, gt: KeyStepAssignment) -> dict[int, int]:
     """Best predicted-to-true label bijection over {0..K}, background included.
 
     Maximizes total frame overlap pooled over all videos of the task by
     minimizing its negation with ``hungarian``.
     """
-    _check_compatible(pred, gt)
-    K = gt.K
-    overlap = np.zeros((K + 1, K + 1))
-    for video_id in gt.per_video:
-        p = pred.per_video[video_id]
-        g = gt.per_video[video_id]
-        np.add.at(overlap, (p, g), 1.0)
-    assignment, _ = hungarian(-overlap)
+    assignment, _ = hungarian(-_overlap(pred, gt))
     return assignment
 
 
@@ -179,90 +184,14 @@ def _safe_ratio(numerator: int, denominator: int, other_size: int) -> float:
     return numerator / denominator
 
 
-def _f1(precision: float, recall: float) -> float:
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def _mapped_frames(
-    pred: KeyStepAssignment, gt: KeyStepAssignment, mapping: dict[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    _check_compatible(pred, gt)
-    if sorted(mapping) != list(range(gt.K + 1)) or sorted(mapping.values()) != list(
-        range(gt.K + 1)
-    ):
-        raise ValueError("mapping must be a bijection on labels 0..K")
-    lookup = np.empty(gt.K + 1, dtype=np.int64)
-    for src, dst in mapping.items():
-        lookup[src] = dst
-    mapped = np.concatenate([lookup[pred.per_video[v]] for v in gt.per_video])
-    truth = np.concatenate([gt.per_video[v] for v in gt.per_video])
-    return mapped, truth
-
-
-def per_keystep_metrics(
-    pred: KeyStepAssignment, gt: KeyStepAssignment, mapping: dict[int, int]
-) -> tuple[dict[int, StepScores], StepScores]:
-    """Score each key-step separately, then average unweighted over all K.
-
-    Background (label 0) is excluded from both the per-step table and the
-    means. Returns the per-step table and the means packed as a StepScores.
-    """
-    mapped, truth = _mapped_frames(pred, gt, mapping)
-    per_step: dict[int, StepScores] = {}
-    for label in range(1, gt.K + 1):
-        in_pred = mapped == label
-        in_gt = truth == label
-        inter = int((in_pred & in_gt).sum())
-        union = int((in_pred | in_gt).sum())
-        n_pred = int(in_pred.sum())
-        n_gt = int(in_gt.sum())
-        precision = _safe_ratio(inter, n_pred, n_gt)
-        recall = _safe_ratio(inter, n_gt, n_pred)
-        iou = 1.0 if union == 0 else inter / union
-        per_step[label] = StepScores(
-            precision=precision, recall=recall, f1=_f1(precision, recall), iou=iou
-        )
-    means = StepScores(
-        precision=float(np.mean([s.precision for s in per_step.values()])),
-        recall=float(np.mean([s.recall for s in per_step.values()])),
-        f1=float(np.mean([s.f1 for s in per_step.values()])),
-        iou=float(np.mean([s.iou for s in per_step.values()])),
-    )
-    return per_step, means
-
-
-def legacy_metrics(
-    pred: KeyStepAssignment, gt: KeyStepAssignment, mapping: dict[int, int]
-) -> StepScores:
-    """Frame-pooled scores over all key-steps (background excluded).
-
-    Recall divides the pooled intersection by the total ground-truth
-    key-step frames and precision by the total predicted key-step frames;
-    IoU pools intersections over unions.
-    """
-    mapped, truth = _mapped_frames(pred, gt, mapping)
-    inter = union = n_pred = n_gt = 0
-    for label in range(1, gt.K + 1):
-        in_pred = mapped == label
-        in_gt = truth == label
-        inter += int((in_pred & in_gt).sum())
-        union += int((in_pred | in_gt).sum())
-        n_pred += int(in_pred.sum())
-        n_gt += int(in_gt.sum())
+def _scores(inter: int, n_pred: int, n_gt: int) -> StepScores:
+    """Scores of a predicted frame set against a true one, from the two sizes and their overlap."""
     precision = _safe_ratio(inter, n_pred, n_gt)
     recall = _safe_ratio(inter, n_gt, n_pred)
+    f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
+    union = n_pred + n_gt - inter
     iou = 1.0 if union == 0 else inter / union
-    return StepScores(precision=precision, recall=recall, f1=_f1(precision, recall), iou=iou)
-
-
-def mof(
-    pred: KeyStepAssignment, gt: KeyStepAssignment, mapping: dict[int, int]
-) -> float:
-    """Fraction of all frames, background included, predicted correctly."""
-    mapped, truth = _mapped_frames(pred, gt, mapping)
-    return float((mapped == truth).mean())
+    return StepScores(precision=precision, recall=recall, f1=f1, iou=iou)
 
 
 def full_report(
@@ -270,23 +199,40 @@ def full_report(
     gt: KeyStepAssignment,
     mapping: dict[int, int] | None = None,
 ) -> MetricsReport:
-    """Match labels (unless a mapping is given) and compute every score."""
+    """Match labels (unless a mapping is given) and compute every score.
+
+    Per-key-step scores average unweighted over labels 1..K; legacy scores
+    pool the same counts over 1..K first; MoF counts background too.
+    """
+    overlap = _overlap(pred, gt)
+    K = gt.K
     if mapping is None:
-        mapping = match_labels(pred, gt)
-    per_step, means = per_keystep_metrics(pred, gt, mapping)
-    legacy = legacy_metrics(pred, gt, mapping)
+        mapping, _ = hungarian(-overlap)
+    elif sorted(mapping) != list(range(K + 1)) or sorted(mapping.values()) != list(range(K + 1)):
+        raise ValueError("mapping must be a bijection on labels 0..K")
+    # Relabel rows through the mapping: row l then counts frames predicted l.
+    confusion = np.empty_like(overlap)
+    confusion[[mapping[label] for label in range(K + 1)]] = overlap
+    inter = np.diag(confusion)[1:].tolist()
+    n_pred = confusion.sum(axis=1)[1:].tolist()
+    n_gt = confusion.sum(axis=0)[1:].tolist()
+    per_step = {
+        label: _scores(i, p, g)
+        for label, i, p, g in zip(range(1, K + 1), inter, n_pred, n_gt)
+    }
+    legacy = _scores(sum(inter), sum(n_pred), sum(n_gt))
     return MetricsReport(
         mapping=mapping,
         per_keystep=per_step,
-        mean_precision=means.precision,
-        mean_recall=means.recall,
-        mean_f1=means.f1,
-        mean_iou=means.iou,
+        mean_precision=float(np.mean([s.precision for s in per_step.values()])),
+        mean_recall=float(np.mean([s.recall for s in per_step.values()])),
+        mean_f1=float(np.mean([s.f1 for s in per_step.values()])),
+        mean_iou=float(np.mean([s.iou for s in per_step.values()])),
         legacy_precision=legacy.precision,
         legacy_recall=legacy.recall,
         legacy_f1=legacy.f1,
         legacy_iou=legacy.iou,
-        mof=mof(pred, gt, mapping),
+        mof=float(np.trace(confusion) / confusion.sum()),
     )
 
 

@@ -371,13 +371,14 @@ def localize(embeddings: dict[str, np.ndarray], config: PcmConfig) -> KeyStepAss
             all_points[fg_idx], config.K, config.kmeans_restarts, config.seed
         )
         flat[fg_idx] = cluster_labels
+    return KeyStepAssignment(per_video=_split_by_video(flat, video_ids, lengths), K=config.K)
 
-    per_video = {}
-    offset = 0
-    for video_id, L in zip(video_ids, lengths):
-        per_video[video_id] = flat[offset : offset + L]
-        offset += L
-    return KeyStepAssignment(per_video=per_video, K=config.K)
+
+def _split_by_video(
+    flat: np.ndarray, video_ids: list[str], lengths: list[int]
+) -> dict[str, np.ndarray]:
+    """Cut labels of concatenated videos back into one array per video."""
+    return dict(zip(video_ids, np.split(flat, np.cumsum(lengths)[:-1])))
 
 
 def baseline_random(
@@ -398,22 +399,10 @@ def baseline_cluster_all(
     embeddings: dict[str, np.ndarray], K: int, seed: int, kmeans_restarts: int = 8
 ) -> KeyStepAssignment:
     """k-means over every frame of every video; no background separation."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
     if len(embeddings) < 1:
         raise ValueError("need at least one video")
     video_ids = list(embeddings)
     mats = [np.asarray(embeddings[v], dtype=np.float64) for v in video_ids]
-    points = np.concatenate(mats)
-    if points.shape[0] < K:
-        flat = np.arange(1, points.shape[0] + 1, dtype=np.int64)
-    else:
-        rng = np.random.default_rng(seed)
-        labels, _, _ = _kmeans(points, K, kmeans_restarts, rng)
-        flat = labels + 1
-    per_video = {}
-    offset = 0
-    for video_id, m in zip(video_ids, mats):
-        per_video[video_id] = flat[offset : offset + m.shape[0]]
-        offset += m.shape[0]
-    return KeyStepAssignment(per_video=per_video, K=K)
+    flat, _ = cluster_foreground(np.concatenate(mats), K, kmeans_restarts, seed)
+    lengths = [m.shape[0] for m in mats]
+    return KeyStepAssignment(per_video=_split_by_video(flat, video_ids, lengths), K=K)

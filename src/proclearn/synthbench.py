@@ -24,7 +24,7 @@ from .core import (
     segments_to_frame_labels,
 )
 from .embed import TrainConfig, embed_sequence, train_embedder
-from .metrics import MetricsReport, full_report
+from .metrics import _SUMMARY_FIELDS, MetricsReport, full_report
 from .procut import PcmConfig, baseline_cluster_all, baseline_random, localize
 
 __all__ = [
@@ -211,24 +211,11 @@ def run_benchmark(
     return compare_methods(embeddings, gt, pcm_config)
 
 
-_SUMMARY_COLUMNS = (
-    "legacy_f1",
-    "legacy_iou",
-    "legacy_precision",
-    "legacy_recall",
-    "mean_f1",
-    "mean_iou",
-    "mean_precision",
-    "mean_recall",
-    "mof",
-)
-
-
 def format_benchmark(results: dict[str, MetricsReport]) -> str:
     """One CSV row per method carrying the summary metric columns."""
-    lines = ["method," + ",".join(_SUMMARY_COLUMNS)]
+    lines = ["method," + ",".join(_SUMMARY_FIELDS)]
     for method in results:
         report = results[method]
-        values = ",".join(f"{getattr(report, name):.6f}" for name in _SUMMARY_COLUMNS)
+        values = ",".join(f"{getattr(report, name):.6f}" for name in _SUMMARY_FIELDS)
         lines.append(f"{method},{values}")
     return "\n".join(lines) + "\n"

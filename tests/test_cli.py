@@ -206,6 +206,13 @@ def test_run_all_is_byte_reproducible(tmp_path):
     assert _tree(first) == _tree(second)
 
 
+def test_run_all_with_relative_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run("run-all", "demo") == 0
+    assert _run("run-all", tmp_path / "absolute") == 0
+    assert _tree(tmp_path / "demo") == _tree(tmp_path / "absolute")
+
+
 def test_no_temp_files_left_behind(tmp_path):
     out = tmp_path / "out"
     assert _run("run-all", out) == 0
@@ -233,6 +240,8 @@ def test_invalid_domain_exits_5(tmp_path):
     out = tmp_path / "out"
     assert main(["synth", "--out", str(out), "--k", "0"]) == 5
     assert _run("synth", out) == 0
+    assert _run("train", out, "--steps", "-5") == 5
+    assert not (out / "params.cncp").exists()
     assert _run("train", out) == 0
     assert _run("localize", out, "--k", "0") == 5
 

@@ -18,6 +18,7 @@ from proclearn.core import (
     TruncatedFileError,
     load_annotations,
     load_assignment_file,
+    load_feature_header,
     load_features,
     load_manifest,
     parse_annotation_file,
@@ -136,33 +137,39 @@ def test_feature_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.features, seq.features)
     named = load_features(path, video_id="other")
     assert named.video_id == "other"
+    assert load_feature_header(path) == (seq.num_frames, seq.feature_dim, seq.fps)
 
 
 def test_feature_file_header_errors(tmp_path):
     path = tmp_path / "bad.feat"
-    path.write_bytes(b"CN")
-    with pytest.raises(TruncatedFileError):
-        load_features(path)
-    path.write_bytes(struct.pack("<4sIIId", b"XXXX", 1, 1, 1, 1.0) + b"\x00" * 8)
-    with pytest.raises(FileFormatError):
-        load_features(path)
-    path.write_bytes(struct.pack("<4sIIId", b"CNCF", 9, 1, 1, 1.0) + b"\x00" * 8)
-    with pytest.raises(FileFormatError):
-        load_features(path)
-    path.write_bytes(struct.pack("<4sIIId", b"CNCF", 1, 0, 1, 1.0))
-    with pytest.raises(FileFormatError):
-        load_features(path)
+    for load in (load_features, load_feature_header):
+        path.write_bytes(b"CN")
+        with pytest.raises(TruncatedFileError):
+            load(path)
+        path.write_bytes(struct.pack("<4sIIId", b"XXXX", 1, 1, 1, 1.0) + b"\x00" * 8)
+        with pytest.raises(FileFormatError):
+            load(path)
+        path.write_bytes(struct.pack("<4sIIId", b"CNCF", 9, 1, 1, 1.0) + b"\x00" * 8)
+        with pytest.raises(FileFormatError):
+            load(path)
+        path.write_bytes(struct.pack("<4sIIId", b"CNCF", 1, 0, 1, 1.0))
+        with pytest.raises(FileFormatError):
+            load(path)
+        path.write_bytes(struct.pack("<4sIIId", b"CNCF", 1, 1, 1, 0.0) + b"\x00" * 8)
+        with pytest.raises(ValueError, match="fps"):
+            load(path)
 
 
 def test_feature_file_payload_errors(tmp_path):
     path = tmp_path / "bad.feat"
     header = struct.pack("<4sIIId", b"CNCF", 1, 2, 1, 1.0)
-    path.write_bytes(header + b"\x00" * 8)
-    with pytest.raises(TruncatedFileError):
-        load_features(path)
-    path.write_bytes(header + b"\x00" * 24)
-    with pytest.raises(FileFormatError, match="trailing"):
-        load_features(path)
+    for load in (load_features, load_feature_header):
+        path.write_bytes(header + b"\x00" * 8)
+        with pytest.raises(TruncatedFileError):
+            load(path)
+        path.write_bytes(header + b"\x00" * 24)
+        with pytest.raises(FileFormatError, match="trailing"):
+            load(path)
     payload = struct.pack("<2d", 1.0, float("nan"))
     path.write_bytes(header + payload)
     with pytest.raises(ValueError, match="row 1"):
@@ -300,6 +307,26 @@ def test_manifest_dash_marks_unannotated(tmp_path):
     assert loaded.entries[0].annotation_path is None
     with pytest.raises(AnnotationError):
         loaded.load_annotation()
+
+
+def test_manifest_stores_relative_entries_from_working_directory(tmp_path, monkeypatch):
+    manifest = _write_task(tmp_path)
+    monkeypatch.chdir(tmp_path.parent)
+    relative = [
+        ManifestEntry(
+            e.video_id,
+            e.feature_path.relative_to(tmp_path.parent),
+            e.annotation_path.relative_to(tmp_path.parent),
+        )
+        for e in manifest.entries
+    ]
+    path = tmp_path / "manifest.csv"
+    save_manifest(path, TaskManifest(task_name="demo", K=2, entries=relative))
+    assert path.read_text().splitlines()[1] == "va,feats/va.feat,va.csv"
+    (tmp_path / "sub").mkdir()
+    save_manifest(tmp_path / "sub" / "manifest.csv", manifest)
+    outside = (tmp_path / "sub" / "manifest.csv").read_text().splitlines()[1]
+    assert outside.split(",")[1] == (tmp_path / "feats" / "va.feat").as_posix()
 
 
 def test_manifest_format_errors(tmp_path):

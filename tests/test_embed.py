@@ -353,6 +353,8 @@ def test_train_config_validation():
         TrainConfig(cidm_weight=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(pair_strategy="zigzag")
+    with pytest.raises(ValueError, match="steps"):
+        TrainConfig(steps=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,7 @@ from proclearn.metrics import (
     format_stats,
     full_report,
     hungarian,
-    legacy_metrics,
     match_labels,
-    mof,
-    per_keystep_metrics,
 )
 
 
@@ -146,28 +143,29 @@ def test_match_labels_rejects_mismatches():
 
 
 def test_six_frame_per_step_scores():
-    per_step, means = per_keystep_metrics(PRED6, GT6, _identity(2))
+    report = full_report(PRED6, GT6, _identity(2))
+    per_step = report.per_keystep
     assert per_step[1] == StepScores(precision=1.0, recall=1.0, f1=1.0, iou=1.0)
     assert per_step[2].precision == 0.5
     assert per_step[2].recall == 0.5
     assert per_step[2].f1 == 0.5
     assert per_step[2].iou == pytest.approx(1.0 / 3.0)
-    assert means.f1 == 0.75
-    assert means.iou == pytest.approx(2.0 / 3.0)
-    assert means.precision == 0.75
-    assert means.recall == 0.75
+    assert report.mean_f1 == 0.75
+    assert report.mean_iou == pytest.approx(2.0 / 3.0)
+    assert report.mean_precision == 0.75
+    assert report.mean_recall == 0.75
 
 
 def test_six_frame_legacy_scores():
-    legacy = legacy_metrics(PRED6, GT6, _identity(2))
-    assert legacy.precision == 0.75
-    assert legacy.recall == 0.75
-    assert legacy.f1 == 0.75
-    assert legacy.iou == pytest.approx(3.0 / 5.0)
+    report = full_report(PRED6, GT6, _identity(2))
+    assert report.legacy_precision == 0.75
+    assert report.legacy_recall == 0.75
+    assert report.legacy_f1 == 0.75
+    assert report.legacy_iou == pytest.approx(3.0 / 5.0)
 
 
 def test_six_frame_mof():
-    assert mof(PRED6, GT6, _identity(2)) == pytest.approx(4.0 / 6.0)
+    assert full_report(PRED6, GT6, _identity(2)).mof == pytest.approx(4.0 / 6.0)
 
 
 def test_full_report_finds_mapping_itself():
@@ -189,26 +187,26 @@ def test_perfect_prediction_scores_one_everywhere():
 def test_disjoint_prediction_scores_zero_f1():
     gt = _assignment({"a": [1, 1, 2, 2]}, K=2)
     pred = _assignment({"a": [2, 2, 1, 1]}, K=2)
-    per_step, means = per_keystep_metrics(pred, gt, _identity(2))
-    assert means.f1 == 0.0
-    assert means.iou == 0.0
-    assert all(s.precision == 0.0 for s in per_step.values())
+    report = full_report(pred, gt, _identity(2))
+    assert report.mean_f1 == 0.0
+    assert report.mean_iou == 0.0
+    assert all(s.precision == 0.0 for s in report.per_keystep.values())
 
 
 def test_absent_step_on_both_sides_scores_one():
     gt = _assignment({"a": [0, 1, 1, 0]}, K=3)
     pred = _assignment({"a": [0, 1, 1, 0]}, K=3)
-    per_step, means = per_keystep_metrics(pred, gt, _identity(3))
-    assert per_step[2] == StepScores(1.0, 1.0, 1.0, 1.0)
-    assert per_step[3] == StepScores(1.0, 1.0, 1.0, 1.0)
-    assert means.f1 == 1.0
+    report = full_report(pred, gt, _identity(3))
+    assert report.per_keystep[2] == StepScores(1.0, 1.0, 1.0, 1.0)
+    assert report.per_keystep[3] == StepScores(1.0, 1.0, 1.0, 1.0)
+    assert report.mean_f1 == 1.0
 
 
 def test_mapping_must_be_bijection():
     with pytest.raises(ValueError):
-        per_keystep_metrics(PRED6, GT6, {0: 0, 1: 1, 2: 1})
+        full_report(PRED6, GT6, {0: 0, 1: 1, 2: 1})
     with pytest.raises(ValueError):
-        per_keystep_metrics(PRED6, GT6, {0: 0, 1: 1})
+        full_report(PRED6, GT6, {0: 0, 1: 1})
 
 
 # ---------------------------------------------------------------------------
