@@ -15,10 +15,20 @@ two signals:
 Every loss returns exact analytic gradients; the test suite checks them
 against central finite differences. Loss and gradient evaluations are pure;
 parameter updates during training are strictly sequential.
+
+Both losses take squared distances in Gram form, ||x||^2 + ||y||^2 - 2 x.y
+clamped at 0, so their temporaries are pair matrices (N x M), never
+N x M x E. Within one video, pairs closer than about 1e-3 of the largest
+row norm are recomputed from their difference, so equal rows get exactly 0
+and the coherence gradient keeps its precision. A training step computes
+the A-B distance matrix once and shares it between the A-to-B and B-to-A
+cycles, and the coherence weights depend only on (T, window), so they are
+built once per length.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -193,14 +203,59 @@ def embed_sequence(params: EmbedderParams, sequence: FeatureSequence) -> np.ndar
 
 
 def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    diff = X[:, None, :] - Y[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distances between the rows of X and Y in Gram form.
+
+    ||x||^2 + ||y||^2 - 2 x.y, clamped at 0 because rounding can leave it a
+    few ulps below. No N x M x E temporary is built.
+    """
+    d = X @ Y.T
+    d *= -2.0
+    d += np.einsum("ij,ij->i", X, X)[:, None]
+    d += np.einsum("ij,ij->i", Y, Y)
+    return np.maximum(d, 0.0, out=d)
+
+
+def _self_sqdist(U: np.ndarray) -> np.ndarray:
+    """``_sqdist(U, U)``, recomputed from row differences where rows are close.
+
+    The Gram form's rounding error is a few ulps of the largest ||u||^2 at
+    any distance. Equal rows can come out a few ulps apart, which C-IDM's
+    d > 0 guard would take for a real distance, and the far-pair gradient,
+    which divides by d, loses precision for close rows (about 1e-4 of the
+    largest entry at d = 1e-7 between unit rows). Pairs below 1e-6 of the
+    largest squared norm are recomputed as ||u_i - u_j||^2, exactly 0 for
+    equal rows. They go T pairs at a time, so a collapsed video builds no
+    T x T x E temporary.
+    """
+    T = U.shape[0]
+    d2 = _sqdist(U, U)
+    scale = np.max(np.einsum("ij,ij->i", U, U))
+    close_i, close_j = np.nonzero(d2 < 1e-6 * scale)
+    for start in range(0, close_i.size, T):
+        i = close_i[start : start + T]
+        j = close_j[start : start + T]
+        diff = U[i] - U[j]
+        d2[i, j] = np.einsum("ke,ke->k", diff, diff)
+    return d2
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place in ``logits``."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
+
+
+def _as_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """Two non-empty float64 embedding matrices of equal width, or ValueError."""
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
+        raise ValueError("A and B must be matrices with matching column counts")
+    if A.shape[0] < 1 or B.shape[0] < 1:
+        raise ValueError("both sequences need at least one frame")
+    return A, B
 
 
 def tcc_loss(
@@ -218,22 +273,31 @@ def tcc_loss(
     sigma^2 = max(floor, sum beta_k (k - mu)^2) the per-frame loss is
     (i - mu)^2 / sigma^2 + variance_weight * log sigma^2. Returns the mean
     over i and exact gradients with respect to A and B.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
-        raise ValueError("A and B must be matrices with matching column counts")
-    N, M = A.shape[0], B.shape[0]
-    if N < 1 or M < 1:
-        raise ValueError("both sequences need at least one frame")
 
-    alpha = _softmax_rows(-_sqdist(A, B) / temperature)  # N x M
+    Squared distances are taken in Gram form, ||x||^2 + ||y||^2 - 2 x.y
+    clamped at 0, so no N x M x E temporary is built. ``tc3i_loss`` computes
+    the A-B matrix once and gives its transpose to the B-A direction.
+    """
+    A, B = _as_pair(A, B)
+    return _cycle_back(
+        A, B, _sqdist(A, B), temperature, variance_weight, variance_floor
+    )
+
+
+def _cycle_back(A, B, dist, temperature, variance_weight, variance_floor):
+    """``tcc_loss`` from the N x M A-B squared distances ``dist`` (left unchanged)."""
+    N = A.shape[0]
+    # C order: the B-A direction of tc3i_loss passes a transposed view.
+    alpha = _softmax_rows(np.divide(dist, -temperature, order="C"))  # N x M
     V = alpha @ B  # N x E soft-matched frames
-    beta = _softmax_rows(-_sqdist(V, A) / temperature)  # N x N
+    logits = _sqdist(V, A)
+    logits /= -temperature
+    beta = _softmax_rows(logits)  # N x N
     k = np.arange(N, dtype=np.float64)
     mu = beta @ k
-    dev = k[None, :] - mu[:, None]
-    var = np.einsum("ik,ik->i", beta, dev**2)
+    dev2 = k - mu[:, None]
+    np.square(dev2, out=dev2)  # (k - mu_i)^2
+    var = np.einsum("ik,ik->i", beta, dev2)
     sig = np.maximum(variance_floor, var)
     err = k - mu
     per_frame = err**2 / sig + variance_weight * np.log(sig)
@@ -246,29 +310,51 @@ def tcc_loss(
     # because the explicit mu-dependence cancels (sum beta_k (k - mu) = 0).
     g_mu = -2.0 * err / sig
     g_sig = np.where(var > variance_floor, -(err**2) / sig**2 + variance_weight / sig, 0.0)
-    g_beta = g_mu[:, None] * k[None, :] + g_sig[:, None] * dev**2
-    g_s2 = beta * (g_beta - np.sum(g_beta * beta, axis=1, keepdims=True))
-    g_d2 = -g_s2 / temperature  # N x N, pairs (i, k) of ||V_i - A_k||^2
+    # g_beta = g_mu k + g_sig (k - mu)^2, built in place in dev2. Its
+    # beta-weighted row sum is g_mu mu + g_sig var, because sum_k beta_k k = mu
+    # and sum_k beta_k (k - mu)^2 = var.
+    g_d2 = dev2
+    g_d2 *= g_sig[:, None]
+    g_d2 += g_mu[:, None] * k
+    g_d2 -= (g_mu * mu + g_sig * var)[:, None]
+    g_d2 *= beta
+    g_d2 /= -temperature  # N x N, pairs (i, k) of ||V_i - A_k||^2
     # d ||V_i - A_k||^2: 2 (V_i - A_k) toward V_i, the negative toward A_k.
-    row2 = g_d2.sum(axis=1)
-    col2 = g_d2.sum(axis=0)
-    gV = 2.0 * (row2[:, None] * V - g_d2 @ A)
-    gA = -2.0 * (g_d2.T @ V - col2[:, None] * A)
+    gV = 2.0 * (g_d2.sum(axis=1)[:, None] * V - g_d2 @ A)
+    gA = -2.0 * (g_d2.T @ V - g_d2.sum(axis=0)[:, None] * A)
 
-    g_alpha = gV @ B.T
+    # g_alpha = gV B^T, built in place; its alpha-weighted row sum is gV_i . V_i.
+    g_d1 = gV @ B.T
     gB = alpha.T @ gV
-    g_s1 = alpha * (g_alpha - np.sum(g_alpha * alpha, axis=1, keepdims=True))
-    g_d1 = -g_s1 / temperature  # N x M, pairs (i, j) of ||A_i - B_j||^2
-    row1 = g_d1.sum(axis=1)
-    col1 = g_d1.sum(axis=0)
-    gA += 2.0 * (row1[:, None] * A - g_d1 @ B)
-    gB += -2.0 * (g_d1.T @ A - col1[:, None] * B)
+    g_d1 -= np.einsum("ie,ie->i", gV, V)[:, None]
+    g_d1 *= alpha
+    g_d1 /= -temperature  # N x M, pairs (i, j) of ||A_i - B_j||^2
+    gA += 2.0 * (g_d1.sum(axis=1)[:, None] * A - g_d1 @ B)
+    gB -= 2.0 * (g_d1.T @ A - g_d1.sum(axis=0)[:, None] * B)
 
     gA /= N
     gB /= N
     if not (np.isfinite(gA).all() and np.isfinite(gB).all()):
         raise FloatingPointError("non-finite cycle-loss gradient")
     return loss, gA, gB
+
+
+@functools.lru_cache(maxsize=4)
+def _cidm_weights(T: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """C-IDM pair weights for T frames, each 0 outside its band.
+
+    The near matrix holds W(i,j) = 1 / (1 + (i-j)^2) for 0 < |i-j| <= window,
+    the far matrix 1 / W for |i-j| > window. They depend on (T, window) only;
+    the cache keeps the last few, so memory does not grow with the number of
+    distinct video lengths. Both are read-only because callers share them.
+    """
+    gap = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
+    inv_weight = 1.0 + gap**2
+    near = np.where((gap > 0) & (gap <= window), 1.0 / inv_weight, 0.0)
+    far = np.where(gap > window, inv_weight, 0.0)
+    near.flags.writeable = False
+    far.flags.writeable = False
+    return near, far
 
 
 def cidm_loss(U: np.ndarray, window: int, margin: float):
@@ -278,6 +364,12 @@ def cidm_loss(U: np.ndarray, window: int, margin: float):
     pairs closer than ``window`` in time contribute W * d^2 while farther
     pairs contribute (1/W) * max(0, margin - d)^2; the result is the mean
     over all frame pairs i < j.
+
+    Distances come from the Gram form ||u_i||^2 + ||u_j||^2 - 2 u_i.u_j,
+    clamped at 0, except that pairs closer than about 1e-3 of the largest
+    row norm are recomputed from u_i - u_j, so equal rows are exactly 0
+    apart. A far pair at d = 0 keeps its hinge term in the loss but adds
+    nothing to the gradient, where the hinge has no derivative.
     """
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2:
@@ -286,24 +378,21 @@ def cidm_loss(U: np.ndarray, window: int, margin: float):
     if T < 2:
         raise ValueError(f"need at least two frames, got {T}")
 
-    idx = np.arange(T)
-    gap = np.abs(idx[:, None] - idx[None, :])
-    weight = 1.0 / (1.0 + (idx[:, None] - idx[None, :]) ** 2)
-    d2 = _sqdist(U, U)
-    d = np.sqrt(np.maximum(d2, 0.0))
-    near = (gap <= window) & (gap > 0)
-    far = gap > window
-    hinge = np.maximum(0.0, margin - d)
-
+    near_w, far_w = _cidm_weights(T, window)
     pair_count = T * (T - 1) // 2
-    terms = np.where(near, weight * d2, 0.0) + np.where(far, hinge**2 / weight, 0.0)
-    loss = float(terms.sum() / 2.0 / pair_count)
+    d = _self_sqdist(U)
+    near_sum = np.vdot(near_w, d)
+    np.sqrt(d, out=d)
+    hinge = np.subtract(margin, d)
+    np.maximum(hinge, 0.0, out=hinge)
+    far_hinge = hinge * far_w
+    loss = float((near_sum + np.vdot(far_hinge, hinge)) / 2.0 / pair_count)
 
-    # coeff[i,j] multiplies (u_i - u_j) in the gradient of the (i,j) term.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        far_coeff = np.where((hinge > 0.0) & (d > 0.0), -2.0 * hinge / (weight * d), 0.0)
-    coeff = np.where(near, 2.0 * weight, 0.0) + np.where(far, far_coeff, 0.0)
-    coeff /= pair_count
+    # coeff[i,j] multiplies (u_i - u_j) in the gradient of the (i,j) term:
+    # 2 W on near pairs, -2 hinge / (W d) on far pairs with d > 0.
+    coeff = np.divide(far_hinge, d, out=np.zeros_like(d), where=d > 0.0)
+    coeff -= near_w
+    coeff *= -2.0 / pair_count
     grad = coeff.sum(axis=1)[:, None] * U - coeff @ U
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite temporal-coherence gradient")
@@ -314,23 +403,24 @@ def tc3i_loss(A: np.ndarray, B: np.ndarray, config: TrainConfig):
     """Symmetric cycle-back loss plus weighted temporal coherence on each video.
 
     Equals tcc(A,B) + tcc(B,A) + w * (cidm(A) + cidm(B)); gradients compose by
-    sum. The coherence terms are skipped entirely when their weight is zero.
+    sum. Both cycle-back directions read one A-B squared-distance matrix, the
+    B-A direction through its transpose. The coherence terms are skipped
+    entirely when their weight is zero.
     """
-    loss_ab, gA, gB = tcc_loss(
-        A, B, config.temperature, config.variance_weight, config.variance_floor
-    )
-    loss_ba, gB2, gA2 = tcc_loss(
-        B, A, config.temperature, config.variance_weight, config.variance_floor
-    )
+    A, B = _as_pair(A, B)
+    dist = _sqdist(A, B)
+    knobs = (config.temperature, config.variance_weight, config.variance_floor)
+    loss_ab, gA, gB = _cycle_back(A, B, dist, *knobs)
+    loss_ba, gB2, gA2 = _cycle_back(B, A, dist.T, *knobs)
     loss = loss_ab + loss_ba
-    gA = gA + gA2
-    gB = gB + gB2
+    gA += gA2
+    gB += gB2
     if config.cidm_weight > 0:
         loss_a, grad_a = cidm_loss(A, config.cidm_window, config.cidm_margin)
         loss_b, grad_b = cidm_loss(B, config.cidm_window, config.cidm_margin)
         loss += config.cidm_weight * (loss_a + loss_b)
-        gA = gA + config.cidm_weight * grad_a
-        gB = gB + config.cidm_weight * grad_b
+        gA += config.cidm_weight * grad_a
+        gB += config.cidm_weight * grad_b
     return loss, gA, gB
 
 
@@ -352,6 +442,11 @@ def train_embedder(dataset: list[FeatureSequence], config: TrainConfig) -> Train
     if len(dims) != 1:
         raise ValueError(f"videos disagree on feature dimension: {sorted(dims)}")
     D = dims.pop()
+    for seq in dataset:
+        if seq.num_frames < 2:
+            raise ValueError(
+                f"video {seq.video_id!r} has {seq.num_frames} frame; training needs at least 2"
+            )
 
     rng = np.random.default_rng(config.seed)
     params = init_params(D, config.hidden_dim, config.embed_dim, rng)

@@ -55,6 +55,30 @@ def coherence_oracle(U, w, margin):
     return total / (T * (T - 1) / 2)
 
 
+def coherence_grad_oracle(U, w, margin):
+    """Gradient of ``coherence_oracle``, looped over i < j.
+
+    A far pair at distance 0 sits on the hinge's kink and contributes nothing.
+    """
+    U = np.asarray(U, dtype=np.float64)
+    T = U.shape[0]
+    grad = np.zeros_like(U)
+    for i in range(T):
+        for j in range(i + 1, T):
+            W = 1.0 / (1.0 + (i - j) ** 2)
+            diff = U[i] - U[j]
+            d = np.sqrt(np.sum(diff**2))
+            if abs(i - j) <= w:
+                term = 2.0 * W * diff
+            elif 0.0 < d < margin:
+                term = -2.0 * (1.0 / W) * (margin - d) / d * diff
+            else:
+                continue
+            grad[i] += term
+            grad[j] -= term
+    return grad / (T * (T - 1) / 2)
+
+
 def central_difference(loss_fn, X, step=1e-6):
     """Numeric gradient of a scalar function of one matrix argument."""
     X = np.asarray(X, dtype=np.float64)
@@ -65,6 +89,25 @@ def central_difference(loss_fn, X, step=1e-6):
         plus[idx] += step
         minus[idx] -= step
         grad[idx] = (loss_fn(plus) - loss_fn(minus)) / (2 * step)
+    return grad
+
+
+def five_point_difference(loss_fn, X, step):
+    """Fourth-order numeric gradient from the five-point central stencil.
+
+    (f(x - 2h) - 8 f(x - h) + 8 f(x + h) - f(x + 2h)) / 12h. Its truncation
+    error is O(h^4), so a step large enough to keep roundoff small is still
+    accurate.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    grad = np.zeros_like(X)
+    for idx in np.ndindex(*X.shape):
+        values = []
+        for offset in (-2, -1, 1, 2):
+            moved = X.copy()
+            moved[idx] += offset * step
+            values.append(loss_fn(moved))
+        grad[idx] = (values[0] - 8 * values[1] + 8 * values[2] - values[3]) / (12 * step)
     return grad
 
 

@@ -10,7 +10,12 @@ from proclearn.cli import (
     parse_config_file,
     resolve_config,
 )
-from proclearn.core import load_assignment_file, load_manifest
+from proclearn.core import (
+    FeatureSequence,
+    load_assignment_file,
+    load_manifest,
+    save_features,
+)
 
 TINY = [
     "--k", "2",
@@ -244,6 +249,20 @@ def test_invalid_domain_exits_5(tmp_path):
     assert not (out / "params.cncp").exists()
     assert _run("train", out) == 0
     assert _run("localize", out, "--k", "0") == 5
+
+
+def test_train_names_a_one_frame_video_and_exits_5(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("synth", out) == 0
+    entry = load_manifest(out / "manifest.csv").entries[1]
+    save_features(
+        entry.feature_path,
+        FeatureSequence(video_id=entry.video_id, features=np.ones((1, 4)), fps=1.0),
+    )
+    capsys.readouterr()
+    assert _run("train", out) == 5
+    assert entry.video_id in capsys.readouterr().err
+    assert not (out / "params.cncp").exists()
 
 
 def test_numeric_failure_exits_6(tmp_path):
