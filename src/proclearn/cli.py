@@ -376,7 +376,8 @@ def cmd_run_all(cfg: dict[str, object], explicit: set[str]) -> None:
     manifest = load_manifest(_manifest_path(cfg))
     _, embeddings = _load_embeddings(cfg, manifest)
     gt = _gt_assignment(manifest)
-    results = compare_methods(embeddings, gt, _pcm_config(cfg, gt.K))
+    cnc = _load_assignments(cfg, manifest, _resolved_k(cfg, explicit, manifest))
+    results = compare_methods(embeddings, gt, _pcm_config(cfg, gt.K), cnc)
     _atomic_text(_out_dir(cfg) / "benchmark.csv", format_benchmark(results))
 
 

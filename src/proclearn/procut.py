@@ -1,16 +1,20 @@
-"""Key-step localization by exact two-terminal graph cut plus clustering.
+"""Key-step localization by an exact two-label cut plus clustering.
 
 Frames that correspond strongly across videos of the same task are key-step
 candidates; frames that match nothing elsewhere are background. This module
-turns per-frame correspondence scores into a two-terminal energy graph, cuts
-it exactly with max-flow, and clusters the foreground side into K key-steps.
+turns per-frame correspondence scores into t-link costs, cuts each video's
+chain of frames exactly, and clusters the foreground side into K key-steps.
 
 Graph convention: the source terminal is the key-step side. ``source_cap[i]``
 is the cost of labeling frame i background (it is paid when the cut severs
 the source link), and ``sink_cap[i]`` is the cost of labeling it key-step.
-Cut labels are read off the source-reachable set of the residual graph,
-which is the unique minimal source side over all maximum flows, so results
-do not depend on the order augmenting paths were found in.
+Labels are the unique minimal source side over all minimum cuts, so ties go
+to background and results do not depend on solver internals.
+
+``localize`` only ever cuts disjoint per-video Potts chains, so it labels
+them with forward-backward min-marginals in O(T) per video, all videos in
+step. ``build_energy_graph`` and ``min_cut`` (Dinic max-flow) stay as the
+general graph and solver, and the tests check ``localize`` against them.
 """
 
 from __future__ import annotations
@@ -104,29 +108,60 @@ class PcmConfig:
 # ---------------------------------------------------------------------------
 
 
+def _embedding_matrices(names: list[str], embeddings: list) -> list[np.ndarray]:
+    """Each video's embedding as a finite float T x E matrix of one shared E.
+
+    Errors name the offending video by its entry in ``names``.
+    """
+    mats = []
+    for name, E in zip(names, embeddings):
+        M = np.asarray(E, dtype=np.float64)
+        if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
+            raise ValueError(
+                f"video {name}: embedding must be a non-empty T x E matrix, "
+                f"got shape {M.shape}"
+            )
+        if not np.isfinite(M).all():
+            raise ValueError(f"video {name}: embedding has non-finite entries")
+        if mats and M.shape[1] != mats[0].shape[1]:
+            raise ValueError(
+                f"video {name}: embedding width {M.shape[1]} differs from "
+                f"video {names[0]}'s {mats[0].shape[1]}"
+            )
+        mats.append(M)
+    return mats
+
+
 def correspondence_scores(embeddings: list[np.ndarray]) -> list[np.ndarray]:
     """Score each frame by how well it matches the other videos.
 
     The score of frame i in video v is the mean over all other videos of its
     best cosine similarity to any frame there. Rows are assumed
     unit-normalized, so cosines are plain dot products (clipped into [-1, 1]
-    against round-off).
+    against round-off). Each pair of videos shares one product
+    ``E_v @ E_w.T``: its row maxima score v and its column maxima score w.
+    Every video adds its partners in increasing index order. Errors name a
+    video by its index in ``embeddings``.
     """
-    mats = [np.asarray(E, dtype=np.float64) for E in embeddings]
-    if len(mats) < 2:
-        raise ValueError(f"need at least 2 videos, got {len(mats)}")
-    for E in mats:
-        if E.ndim != 2 or E.shape[0] < 1:
-            raise ValueError("each video needs a non-empty T x E matrix")
-    scores = []
+    if len(embeddings) < 2:
+        raise ValueError(f"need at least 2 videos, got {len(embeddings)}")
+    mats = _embedding_matrices([str(v) for v in range(len(embeddings))], embeddings)
+    acc = [np.zeros(E.shape[0]) for E in mats]
     for v, E in enumerate(mats):
-        acc = np.zeros(E.shape[0])
-        for w, F in enumerate(mats):
-            if w == v:
-                continue
-            acc += (E @ F.T).max(axis=1)
-        scores.append(np.clip(acc / (len(mats) - 1), -1.0, 1.0))
-    return scores
+        for w in range(v + 1, len(mats)):
+            product = E @ mats[w].T
+            acc[v] += product.max(axis=1)
+            acc[w] += product.max(axis=0)
+    return [np.clip(a / (len(mats) - 1), -1.0, 1.0) for a in acc]
+
+
+def _tlink_caps(scores: np.ndarray, background_bias: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame (source_cap, sink_cap) by the t-link rule of ``build_energy_graph``."""
+    c = (scores + 1.0) / 2.0
+    bg_cost = c
+    ks_cost = 1.0 - c + background_bias
+    shift = np.minimum(0.0, np.minimum(bg_cost, ks_cost))
+    return np.maximum(0.0, bg_cost - shift), np.maximum(0.0, ks_cost - shift)
 
 
 def build_energy_graph(
@@ -150,13 +185,7 @@ def build_energy_graph(
     if any(L < 1 for L in video_lengths) or sum(video_lengths) != scores.shape[0]:
         raise ValueError("video_lengths must be positive and sum to len(scores)")
 
-    c = (scores + 1.0) / 2.0
-    bg_cost = c
-    ks_cost = 1.0 - c + background_bias
-    shift = np.minimum(0.0, np.minimum(bg_cost, ks_cost))
-    source_cap = np.maximum(0.0, bg_cost - shift)
-    sink_cap = np.maximum(0.0, ks_cost - shift)
-
+    source_cap, sink_cap = _tlink_caps(scores, background_bias)
     n_links: list[tuple[int, int, float]] = []
     if smoothness > 0:
         offset = 0
@@ -276,12 +305,90 @@ def cut_energy(graph: EnergyGraph, labels: np.ndarray) -> float:
     return float(unary + pairwise)
 
 
+def _cut_chains(
+    scores: np.ndarray,
+    video_lengths: list[int],
+    smoothness: float,
+    background_bias: float,
+) -> np.ndarray:
+    """Key-step mask of ``min_cut(build_energy_graph(...))``, in O(T) per video.
+
+    Each video is a two-label Potts chain. With delta = sink_cap - source_cap
+    and clip to [-smoothness, smoothness], the forward messages
+    f_t = delta_t + clip(f_{t-1}) and backward messages
+    b_t = clip(delta_{t+1} + b_{t+1}) sum to M_t(key-step) - M_t(background),
+    the difference of frame t's min-marginals (Kohli & Torr 2008). A frame
+    is key-step iff that sum is negative: then every minimum cut puts it on
+    the source side, and on a tie the minimal source side leaves it out.
+    Videos run in step, padded after their end with zero costs.
+    """
+    source_cap, sink_cap = _tlink_caps(scores, background_bias)
+    lengths = np.asarray(video_lengths)
+    video = np.repeat(np.arange(len(lengths)), lengths)
+    frame = np.arange(len(scores)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    delta = np.zeros((int(lengths.max()), len(lengths)))
+    delta[frame, video] = sink_cap - source_cap
+    lo, hi = -float(smoothness), float(smoothness)
+    fwd = np.empty_like(delta)
+    fwd[0] = delta[0]
+    for t in range(1, len(delta)):
+        np.maximum(fwd[t - 1], lo, out=fwd[t])
+        np.minimum(fwd[t], hi, out=fwd[t])
+        fwd[t] += delta[t]
+    bwd = np.zeros_like(delta)
+    for t in range(len(delta) - 2, -1, -1):
+        np.add(delta[t + 1], bwd[t + 1], out=bwd[t])
+        np.maximum(bwd[t], lo, out=bwd[t])
+        np.minimum(bwd[t], hi, out=bwd[t])
+    fwd += bwd
+    return fwd[frame, video] < 0.0
+
+
 # ---------------------------------------------------------------------------
 # Foreground clustering
 # ---------------------------------------------------------------------------
 
 
-def _kmeans_once(points: np.ndarray, K: int, rng: np.random.Generator):
+# Points whose two nearest centroids lie this close in Gram form, relative
+# to the squared norms involved, are ranked again from the row differences.
+_GRAM_TIE_RTOL = 1e-9
+
+
+def _nearest_centroids(
+    points: np.ndarray, points_t: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """Index of each point's nearest centroid, the lowest index on ties.
+
+    Centroids are ranked by ||c||^2 - 2 x.c, one K x n product; rounding in
+    that form can swap two centroids at nearly equal distance, so points
+    whose best two values lie within ``_GRAM_TIE_RTOL`` of their scale are
+    ranked by squared row differences instead.
+    """
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    gram = centroids @ points_t
+    gram *= -2.0
+    gram += c_sq[:, None]
+    labels = np.zeros(points_t.shape[1], dtype=np.int64)
+    best = gram[0].copy()
+    second = np.full_like(best, np.inf)
+    for c in range(1, gram.shape[0]):
+        np.minimum(second, np.maximum(best, gram[c]), out=second)
+        labels[gram[c] < best] = c
+        np.minimum(best, gram[c], out=best)
+    near = np.flatnonzero(second - best <= _GRAM_TIE_RTOL * (sq_norms + c_sq.max()))
+    if near.size > 0:
+        diff = points[near][:, None, :] - centroids[None, :, :]
+        labels[near] = (diff**2).sum(axis=2).argmin(axis=1)
+    return labels
+
+
+def _kmeans_once(
+    points: np.ndarray,
+    points_t: np.ndarray,
+    sq_norms: np.ndarray,
+    K: int,
+    rng: np.random.Generator,
+):
     n = points.shape[0]
     centroids = np.empty((K, points.shape[1]))
     centroids[0] = points[int(rng.integers(n))]
@@ -298,23 +405,29 @@ def _kmeans_once(points: np.ndarray, K: int, rng: np.random.Generator):
 
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(100):
-        dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dists.argmin(axis=1)
+        new_labels = _nearest_centroids(points, points_t, sq_norms, centroids)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(K):
-            members = points[labels == c]
-            if members.shape[0] > 0:
-                centroids[c] = members.mean(axis=0)
+        # Member sums in frame order, the order members.mean(axis=0) adds
+        # them in, from one weighted bincount per dimension.
+        counts = np.bincount(labels, minlength=K)
+        sums = np.stack(
+            [np.bincount(labels, weights=column, minlength=K) for column in points_t],
+            axis=1,
+        )
+        present = counts > 0
+        centroids[present] = sums[present] / counts[present, None]
     inertia = float(((points - centroids[labels]) ** 2).sum())
     return labels, centroids, inertia
 
 
 def _kmeans(points: np.ndarray, K: int, restarts: int, rng: np.random.Generator):
+    points_t = np.ascontiguousarray(points.T)
+    sq_norms = np.einsum("ij,ij->i", points, points)
     best = None
     for _ in range(restarts):
-        labels, centroids, inertia = _kmeans_once(points, K, rng)
+        labels, centroids, inertia = _kmeans_once(points, points_t, sq_norms, K, rng)
         if best is None or inertia < best[2]:
             best = (labels, centroids, inertia)
     return best
@@ -350,25 +463,28 @@ def cluster_foreground(
 def localize(embeddings: dict[str, np.ndarray], config: PcmConfig) -> KeyStepAssignment:
     """Assign every frame a key-step label in 1..K or 0 for background.
 
-    Pipeline: cross-video correspondence scores, energy graph, exact cut,
-    k-means over the foreground side. An empty foreground yields an
-    all-background assignment.
+    Pipeline: cross-video correspondence scores, an exact cut of each
+    video's frame chain (the minimal source side of
+    ``min_cut(build_energy_graph(...))``, found by ``_cut_chains``), k-means
+    over the foreground side. An empty foreground yields an all-background
+    assignment. An empty, non-2-D, non-finite or mis-sized embedding raises
+    ValueError naming its video.
     """
     video_ids = list(embeddings)
-    mats = [embeddings[v] for v in video_ids]
+    mats = _embedding_matrices(
+        [repr(v) for v in video_ids], [embeddings[v] for v in video_ids]
+    )
     scores = correspondence_scores(mats)
     lengths = [len(s) for s in scores]
-    graph = build_energy_graph(
+    keystep = _cut_chains(
         np.concatenate(scores), lengths, config.smoothness, config.background_bias
     )
-    cut = min_cut(graph)
 
-    flat = np.zeros(graph.node_count, dtype=np.int64)
-    fg_idx = np.flatnonzero(cut.labels == 1)
+    flat = np.zeros(keystep.shape[0], dtype=np.int64)
+    fg_idx = np.flatnonzero(keystep)
     if fg_idx.size > 0:
-        all_points = np.concatenate([np.asarray(m, dtype=np.float64) for m in mats])
         cluster_labels, _ = cluster_foreground(
-            all_points[fg_idx], config.K, config.kmeans_restarts, config.seed
+            np.concatenate(mats)[fg_idx], config.K, config.kmeans_restarts, config.seed
         )
         flat[fg_idx] = cluster_labels
     return KeyStepAssignment(per_video=_split_by_video(flat, video_ids, lengths), K=config.K)

@@ -178,18 +178,21 @@ def compare_methods(
     embeddings: dict[str, np.ndarray],
     gt: KeyStepAssignment,
     pcm_config: PcmConfig,
+    cnc: KeyStepAssignment,
 ) -> dict[str, MetricsReport]:
-    """Evaluate localize, cluster-all, and random against one ground truth.
+    """Score the given ``localize`` assignment and both baselines against one ground truth.
 
-    All three methods run with the ground truth's K so their assignments are
-    directly comparable under the matching step.
+    ``cnc`` is the pipeline's assignment for these embeddings; it must carry
+    the ground truth's K, and the baselines run with that K too, so all three
+    are directly comparable under the matching step.
     """
-    config = replace(pcm_config, K=gt.K)
+    if cnc.K != gt.K:
+        raise ValueError(f"cnc assignment has K={cnc.K}, ground truth has K={gt.K}")
     lengths = {video_id: len(labels) for video_id, labels in gt.per_video.items()}
     predictions = {
-        "cnc": localize(embeddings, config),
-        "cluster_all": baseline_cluster_all(embeddings, gt.K, config.seed),
-        "random": baseline_random(lengths, gt.K, config.seed),
+        "cnc": cnc,
+        "cluster_all": baseline_cluster_all(embeddings, gt.K, pcm_config.seed),
+        "random": baseline_random(lengths, gt.K, pcm_config.seed),
     }
     return {name: full_report(predictions[name], gt) for name in BENCHMARK_METHODS}
 
@@ -200,7 +203,8 @@ def run_benchmark(
     pcm_config: PcmConfig,
     task_name: str = "synthetic",
 ) -> dict[str, MetricsReport]:
-    """Generate a task, train the embedder, and score all methods on it."""
+    """Generate a task, train the embedder, localize once with the ground
+    truth's K, and score all methods on it."""
     dataset, annotation = generate(spec, task_name=task_name)
     result = train_embedder(dataset, train_config)
     embeddings = {
@@ -208,7 +212,8 @@ def run_benchmark(
     }
     frame_counts = {seq.video_id: seq.num_frames for seq in dataset}
     gt = annotation_to_assignment(annotation, frame_counts)
-    return compare_methods(embeddings, gt, pcm_config)
+    config = replace(pcm_config, K=gt.K)
+    return compare_methods(embeddings, gt, config, localize(embeddings, config))
 
 
 def format_benchmark(results: dict[str, MetricsReport]) -> str:

@@ -112,6 +112,28 @@ def five_point_difference(loss_fn, X, step):
 
 
 # ---------------------------------------------------------------------------
+# Correspondence scores
+# ---------------------------------------------------------------------------
+
+
+def correspondence_scores_oracle(videos):
+    """Mean over the other videos of each frame's best dot product, clipped.
+
+    Two products per pair of videos: video v reads the row maxima of its own
+    ``E_v @ E_w.T`` for every w != v, in increasing w.
+    """
+    mats = [np.asarray(E, dtype=np.float64) for E in videos]
+    scores = []
+    for v, E in enumerate(mats):
+        acc = np.zeros(E.shape[0])
+        for w, F in enumerate(mats):
+            if w != v:
+                acc += (E @ F.T).max(axis=1)
+        scores.append(np.clip(acc / (len(mats) - 1), -1.0, 1.0))
+    return scores
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive combinatorial solvers
 # ---------------------------------------------------------------------------
 
@@ -144,6 +166,21 @@ def brute_force_min_energy(source_cap, sink_cap, n_links):
     for u, v, cap in n_links:
         energy = energy + cap * (bits[:, u] != bits[:, v])
     return float(energy.min())
+
+
+def brute_force_minimal_source_side(source_cap, sink_cap, n_links, tol=1e-12):
+    """Nodes on the source side of every minimum-energy labeling, plus a flag
+    for whether more than one labeling attains the minimum (a tie)."""
+    source_cap = np.asarray(source_cap, dtype=np.float64)
+    sink_cap = np.asarray(sink_cap, dtype=np.float64)
+    n = source_cap.shape[0]
+    codes = np.arange(2**n, dtype=np.uint32)
+    bits = (codes[:, None] >> np.arange(n)[None, :]) & 1
+    energy = np.where(bits == 1, sink_cap[None, :], source_cap[None, :]).sum(axis=1)
+    for u, v, cap in n_links:
+        energy = energy + cap * (bits[:, u] != bits[:, v])
+    optimal = bits[energy <= energy.min() + tol]
+    return optimal.all(axis=0).astype(np.int64), optimal.shape[0] > 1
 
 
 def brute_force_label_match(pred_flat, gt_flat, K):

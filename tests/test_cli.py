@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from proclearn.core import (
     load_manifest,
     save_features,
 )
+from proclearn.embed import load_params, save_params
 
 TINY = [
     "--k", "2",
@@ -203,6 +206,25 @@ def test_run_all_produces_every_artifact(tmp_path):
     assert [line.split(",")[0] for line in benchmark[1:]] == ["cnc", "cluster_all", "random"]
 
 
+def test_run_all_localizes_once(tmp_path, monkeypatch):
+    import proclearn.cli
+    import proclearn.synthbench
+
+    calls = []
+
+    def counted(localize):
+        def wrapper(*args):
+            calls.append(args)
+            return localize(*args)
+
+        return wrapper
+
+    for module in (proclearn.cli, proclearn.synthbench):
+        monkeypatch.setattr(module, "localize", counted(module.localize))
+    assert _run("run-all", tmp_path / "out") == 0
+    assert len(calls) == 1
+
+
 def test_run_all_is_byte_reproducible(tmp_path):
     first = tmp_path / "first"
     second = tmp_path / "second"
@@ -263,6 +285,21 @@ def test_train_names_a_one_frame_video_and_exits_5(tmp_path, capsys):
     assert _run("train", out) == 5
     assert entry.video_id in capsys.readouterr().err
     assert not (out / "params.cncp").exists()
+
+
+def test_localize_names_a_non_finite_embedding_and_exits_5(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("synth", out) == 0
+    assert _run("train", out) == 0
+    params = load_params(out / "params.cncp")
+    # Output weights this large overflow every embedding row to NaN.
+    save_params(out / "params.cncp", replace(params, W2=np.full_like(params.W2, 1e308)))
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert _run("localize", out) == 5
+    err = capsys.readouterr().err
+    assert "'video_00'" in err and "non-finite" in err
+    assert not (out / "assignments").exists()
 
 
 def test_numeric_failure_exits_6(tmp_path):

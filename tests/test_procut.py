@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import brute_force_min_energy
+from oracles import (
+    brute_force_min_energy,
+    brute_force_minimal_source_side,
+    correspondence_scores_oracle,
+)
 from proclearn.procut import (
+    _cut_chains,
     CutResult,
     EnergyGraph,
     PcmConfig,
@@ -76,6 +83,33 @@ def test_scores_match_double_loop_golden():
     scores = correspondence_scores(_unit_videos())
     np.testing.assert_allclose(scores[0], SCORES_GOLDEN_V0, atol=1e-15)
     np.testing.assert_allclose(scores[2], SCORES_GOLDEN_V2, atol=1e-15)
+
+
+def test_scores_match_two_product_oracle():
+    rng = np.random.default_rng(24)
+    for count in (2, 3, 6):
+        videos = []
+        for T in rng.integers(1, 80, size=count):
+            M = rng.standard_normal((int(T), 16))
+            videos.append(M / np.linalg.norm(M, axis=1, keepdims=True))
+        scores = correspondence_scores(videos)
+        for got, expected in zip(scores, correspondence_scores_oracle(videos)):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+
+def test_scores_errors_name_the_video():
+    good = _unit_videos(count=2)
+    bad_videos = {
+        "empty": np.zeros((0, 4)),
+        "not 2-D": np.ones(4),
+        "non-finite": np.where(np.eye(5, 4) > 0, np.nan, 0.5),
+        "width": np.ones((5, 3)),
+    }
+    for why, bad in bad_videos.items():
+        with pytest.raises(ValueError, match="video 2"):
+            correspondence_scores([*good, bad])
+        with pytest.raises(ValueError, match="video 'clip_b'"):
+            localize({"clip_a": good[0], "clip_b": bad}, PcmConfig(K=2))
 
 
 def test_scores_single_video_rejected():
@@ -225,6 +259,71 @@ def test_min_cut_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# Chain cut used by localize
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("smoothness", [0.0, 0.25, 0.5, 1.5])
+@pytest.mark.parametrize("background_bias", [-0.375, 0.0, 0.25])
+def test_chain_cut_matches_min_cut(smoothness, background_bias):
+    rng = np.random.default_rng(25)
+    ties = 0
+    for trial in range(40):
+        lengths = [int(L) for L in rng.integers(1, 6, size=int(rng.integers(1, 4)))]
+        if trial % 3 == 0:
+            lengths[0] = 1
+        n = sum(lengths)
+        on_grid = trial % 2 == 0
+        # Scores on an eighth grid make costs exact binary fractions, so
+        # equal-energy labelings tie exactly.
+        scores = rng.integers(-8, 9, size=n) / 8.0 if on_grid else rng.uniform(-1, 1, n)
+        graph = build_energy_graph(scores, lengths, smoothness, background_bias)
+        expected = min_cut(graph).labels
+        got = _cut_chains(scores, lengths, smoothness, background_bias)
+        np.testing.assert_array_equal(got, expected == 1)
+        minimal, tied = brute_force_minimal_source_side(
+            graph.source_cap, graph.sink_cap, graph.n_links
+        )
+        np.testing.assert_array_equal(got, minimal == 1)
+        ties += tied
+    assert ties > 0
+
+
+def test_chain_cut_three_way_tie_goes_to_background():
+    # Labelings (0,0), (1,0) and (1,1) all cost 1.0; no frame is key-step in all.
+    scores = np.array([0.5, -0.5])
+    assert _cut_chains(scores, [2], 0.5, 0.0).tolist() == [False, False]
+    graph = build_energy_graph(scores, [2], 0.5, 0.0)
+    assert min_cut(graph).labels.tolist() == [0, 0]
+
+
+def test_localize_foreground_is_min_cut_source_side():
+    rng = np.random.default_rng(26)
+    for trial in range(12):
+        videos = {}
+        for n, T in enumerate(rng.integers(1, 30, size=int(rng.integers(2, 5)))):
+            M = rng.standard_normal((int(T), 4))
+            videos[f"v{n}"] = M / np.linalg.norm(M, axis=1, keepdims=True)
+        config = PcmConfig(
+            K=2,
+            smoothness=float(rng.choice([0.0, 0.1, 0.5])),
+            background_bias=float(rng.uniform(-0.4, 0.4)),
+            kmeans_restarts=2,
+            seed=trial,
+        )
+        assignment = localize(videos, config)
+        scores = correspondence_scores(list(videos.values()))
+        graph = build_energy_graph(
+            np.concatenate(scores),
+            [len(s) for s in scores],
+            config.smoothness,
+            config.background_bias,
+        )
+        foreground = np.concatenate(list(assignment.per_video.values())) > 0
+        np.testing.assert_array_equal(foreground, min_cut(graph).labels == 1)
+
+
+# ---------------------------------------------------------------------------
 # Foreground clustering
 # ---------------------------------------------------------------------------
 
@@ -269,6 +368,37 @@ def test_cluster_inertia_beats_random_labelings():
         )
         rand_inertia = ((points - rand_centroids[rand]) ** 2).sum()
         assert inertia <= rand_inertia + 1e-9
+
+
+@pytest.mark.parametrize("offset", [0.0, 50.0], ids=["unit-norm", "offset-50"])
+def test_cluster_is_a_direct_distance_fixed_point(offset):
+    rng = np.random.default_rng(27)
+    for K in (1, 3, 6):
+        points = rng.standard_normal((400, 8))
+        if offset == 0.0:
+            points /= np.linalg.norm(points, axis=1, keepdims=True)
+        else:
+            points = points[:, :2] * 0.5 + offset + rng.integers(0, 3, size=(400, 1))
+        labels, centroids = cluster_foreground(points, K=K, kmeans_restarts=3, seed=K)
+        for c in np.unique(labels):
+            members = points[labels == c]
+            np.testing.assert_allclose(centroids[c - 1], members.mean(axis=0), rtol=0, atol=1e-12)
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        own = d2[np.arange(len(labels)), labels - 1]
+        assert (own - d2.min(axis=1)).max() <= 1e-12
+
+
+def test_cluster_peak_memory_stays_below_a_point_centroid_difference():
+    # n x K x E float64 differences alone would take n * K * E * 8 bytes.
+    n, E, K = 20000, 16, 5
+    points = np.random.default_rng(28).standard_normal((n, E))
+    tracemalloc.start()
+    try:
+        cluster_foreground(points, K=K, kmeans_restarts=1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * K * E * 8
 
 
 def test_cluster_validation_and_determinism():

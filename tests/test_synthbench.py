@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from proclearn.core import segments_to_frame_labels
+from proclearn.core import KeyStepAssignment, segments_to_frame_labels
 from proclearn.embed import TrainConfig
 from proclearn.metrics import dataset_stats
-from proclearn.procut import PcmConfig
+from proclearn.procut import PcmConfig, localize
 from proclearn.synthbench import (
     BENCHMARK_METHODS,
     SynthSpec,
@@ -272,12 +272,19 @@ def test_compare_methods_accepts_direct_embeddings():
         "a": np.array([1, 1, 0, 2, 2, 0]),
         "b": np.array([0, 1, 1, 2, 2, 2]),
     }
-    from proclearn.core import KeyStepAssignment
-
     gt = KeyStepAssignment(per_video=gt_labels, K=2)
     embeddings = {}
     for video_id, labels in gt_labels.items():
         M = rng.standard_normal((len(labels), 4))
         embeddings[video_id] = M / np.linalg.norm(M, axis=1, keepdims=True)
-    results = compare_methods(embeddings, gt, PcmConfig(K=2, seed=0, kmeans_restarts=2))
+    config = PcmConfig(K=2, seed=0, kmeans_restarts=2)
+    results = compare_methods(embeddings, gt, config, localize(embeddings, config))
     assert tuple(results) == BENCHMARK_METHODS
+
+
+def test_compare_methods_rejects_cnc_of_another_k():
+    gt = KeyStepAssignment(per_video={"a": np.array([1, 0, 2]), "b": np.array([2, 1, 0])}, K=2)
+    cnc = KeyStepAssignment(per_video={"a": np.array([1, 0, 3]), "b": np.array([3, 1, 0])}, K=3)
+    embeddings = {"a": np.eye(3), "b": np.eye(3)}
+    with pytest.raises(ValueError, match="K=3"):
+        compare_methods(embeddings, gt, PcmConfig(K=2), cnc)
