@@ -152,11 +152,8 @@ def brute_force_assignment(cost):
     return dict(enumerate(best_perm)), best_cost
 
 
-def brute_force_min_energy(source_cap, sink_cap, n_links):
-    """Exact minimum of the binary labeling energy over all 2^n labelings.
-
-    Vectorized over labelings with a bit matrix so n = 12 stays fast.
-    """
+def _labeling_energies(source_cap, sink_cap, n_links):
+    """Every binary labeling (rows of a bit matrix) and its energy."""
     source_cap = np.asarray(source_cap, dtype=np.float64)
     sink_cap = np.asarray(sink_cap, dtype=np.float64)
     n = source_cap.shape[0]
@@ -165,20 +162,22 @@ def brute_force_min_energy(source_cap, sink_cap, n_links):
     energy = np.where(bits == 1, sink_cap[None, :], source_cap[None, :]).sum(axis=1)
     for u, v, cap in n_links:
         energy = energy + cap * (bits[:, u] != bits[:, v])
+    return bits, energy
+
+
+def brute_force_min_energy(source_cap, sink_cap, n_links):
+    """Exact minimum of the binary labeling energy over all 2^n labelings.
+
+    Vectorized over labelings with a bit matrix so n = 12 stays fast.
+    """
+    _, energy = _labeling_energies(source_cap, sink_cap, n_links)
     return float(energy.min())
 
 
 def brute_force_minimal_source_side(source_cap, sink_cap, n_links, tol=1e-12):
     """Nodes on the source side of every minimum-energy labeling, plus a flag
     for whether more than one labeling attains the minimum (a tie)."""
-    source_cap = np.asarray(source_cap, dtype=np.float64)
-    sink_cap = np.asarray(sink_cap, dtype=np.float64)
-    n = source_cap.shape[0]
-    codes = np.arange(2**n, dtype=np.uint32)
-    bits = (codes[:, None] >> np.arange(n)[None, :]) & 1
-    energy = np.where(bits == 1, sink_cap[None, :], source_cap[None, :]).sum(axis=1)
-    for u, v, cap in n_links:
-        energy = energy + cap * (bits[:, u] != bits[:, v])
+    bits, energy = _labeling_energies(source_cap, sink_cap, n_links)
     optimal = bits[energy <= energy.min() + tol]
     return optimal.all(axis=0).astype(np.int64), optimal.shape[0] > 1
 

@@ -12,6 +12,7 @@ from oracles import (
 )
 from proclearn.procut import (
     _cut_chains,
+    _nearest_centroids,
     CutResult,
     EnergyGraph,
     PcmConfig,
@@ -386,6 +387,23 @@ def test_cluster_is_a_direct_distance_fixed_point(offset):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         own = d2[np.arange(len(labels)), labels - 1]
         assert (own - d2.min(axis=1)).max() <= 1e-12
+
+
+def test_nearest_centroids_match_direct_argmin_on_bisectors():
+    # Points within 1e-9 of the midway point between two centroids far from
+    # the origin: their two squared distances differ by less than the Gram
+    # form's rounding error (about 1e-8 here), but direct differences rank
+    # them right.
+    rng = np.random.default_rng(29)
+    centroids = 1e4 + rng.standard_normal((4, 3))
+    pairs = rng.integers(0, 4, size=(2000, 2))
+    points = (centroids[pairs[:, 0]] + centroids[pairs[:, 1]]) / 2.0
+    points += 1e-9 * rng.standard_normal(points.shape)
+    expected = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    got = _nearest_centroids(
+        points, np.ascontiguousarray(points.T), (points**2).sum(axis=1), centroids
+    )
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_cluster_peak_memory_stays_below_a_point_centroid_difference():
