@@ -17,7 +17,6 @@ from .core import (
     TaskAnnotation,
     TaskManifest,
     TruncatedFileError,
-    load_annotations,
     load_assignment_file,
     load_feature_header,
     load_features,

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands cover the whole pipeline: synth, train, localize, order,
-evaluate, stats, and run-all. Every configuration key has a documented
+evaluate, stats, and run-all. A standalone stage reads what earlier stages
+wrote to the --out tree; run-all hands each stage's products to the next in
+memory, so its files are outputs only. Every configuration key has a documented
 default, may appear in a "key = value" config file (full-line # comments),
 and may be overridden by a flag of the same name; flags beat the file, the
 file beats defaults. Outputs are written atomically (temp file then rename),
@@ -23,15 +25,21 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .core import (
+    FeatureSequence,
     FileFormatError,
     KeyStepAssignment,
     ManifestEntry,
+    TaskAnnotation,
     TaskManifest,
+    annotation_to_assignment,
     load_assignment_file,
     load_feature_header,
     load_manifest,
@@ -39,9 +47,9 @@ from .core import (
     save_assignment_file,
     save_features,
     save_manifest,
-    segments_to_frame_labels,
 )
 from .embed import (
+    EmbedderParams,
     TrainConfig,
     embed_sequence,
     format_loss_trace,
@@ -216,84 +224,79 @@ def _atomic_text(path: Path, content: str) -> None:
     _atomic_write(path, lambda tmp: tmp.write_text(content))
 
 
-def _out_dir(cfg: dict[str, object]) -> Path:
-    return Path(str(cfg["out"]))
-
-
-def _manifest_path(cfg: dict[str, object]) -> Path:
-    custom = str(cfg["manifest"])
-    return Path(custom) if custom else _out_dir(cfg) / "manifest.csv"
-
-
-def _synth_spec(cfg: dict[str, object]) -> SynthSpec:
-    return SynthSpec(
-        K=int(cfg["k"]),
-        num_videos=int(cfg["num_videos"]),
-        frames_per_video=int(cfg["frames_per_video"]),
-        feature_dim=int(cfg["feature_dim"]),
-        foreground_ratio_target=float(cfg["foreground_ratio_target"]),
-        missing_prob=float(cfg["missing_prob"]),
-        repeat_prob=float(cfg["repeat_prob"]),
-        order_jitter=float(cfg["order_jitter"]),
-        noise_sigma=float(cfg["noise_sigma"]),
-        seed=int(cfg["seed"]),
-    )
-
-
-def _train_config(cfg: dict[str, object]) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=float(cfg["learning_rate"]),
-        steps=int(cfg["steps"]),
-        temperature=float(cfg["temperature"]),
-        variance_weight=float(cfg["variance_weight"]),
-        variance_floor=float(cfg["variance_floor"]),
-        cidm_window=int(cfg["cidm_window"]),
-        cidm_margin=float(cfg["cidm_margin"]),
-        cidm_weight=float(cfg["cidm_weight"]),
-        seed=int(cfg["seed"]) + 1,
-        pair_strategy=str(cfg["pair_strategy"]),
-        hidden_dim=int(cfg["hidden_dim"]),
-        embed_dim=int(cfg["embed_dim"]),
-    )
+def _stage_config(cls, cfg: dict[str, object], **given):
+    """A stage's config dataclass; each field not ``given`` takes the
+    configuration key of the same name."""
+    taken = {field.name: cfg[field.name] for field in fields(cls) if field.name not in given}
+    return cls(**taken, **given)
 
 
 def _pcm_config(cfg: dict[str, object], K: int) -> PcmConfig:
-    return PcmConfig(
-        K=K,
-        smoothness=float(cfg["smoothness"]),
-        background_bias=float(cfg["background_bias"]),
-        kmeans_restarts=int(cfg["kmeans_restarts"]),
-        seed=int(cfg["seed"]) + 2,
-    )
+    return _stage_config(PcmConfig, cfg, K=K, seed=int(cfg["seed"]) + 2)
 
 
-def _resolved_k(cfg: dict[str, object], explicit: set[str], manifest: TaskManifest) -> int:
-    return int(cfg["k"]) if "k" in explicit else manifest.K
+class _Run:
+    """One invocation's products, handed from stage to stage.
+
+    A stage stores what it makes here. A product that no stage of this
+    invocation made is read from the ``--out`` tree on first use, so
+    ``run-all`` reads no file.
+    """
+
+    def __init__(self, cfg: dict[str, object], explicit: set[str]):
+        self.cfg, self.explicit = cfg, explicit
+        self.out = Path(str(cfg["out"]))
+        self.manifest_path = Path(str(cfg["manifest"]) or self.out / "manifest.csv")
+
+    @cached_property
+    def manifest(self) -> TaskManifest:
+        return load_manifest(self.manifest_path)
+
+    @cached_property
+    def sequences(self) -> list[FeatureSequence]:
+        return self.manifest.load_feature_sequences()
+
+    @cached_property
+    def annotation(self) -> TaskAnnotation:
+        return self.manifest.load_annotation()
+
+    @cached_property
+    def params(self) -> EmbedderParams:
+        return load_params(self.out / "params.cncp")
+
+    @cached_property
+    def embeddings(self) -> dict[str, np.ndarray]:
+        return {seq.video_id: embed_sequence(self.params, seq) for seq in self.sequences}
+
+    @cached_property
+    def labels(self) -> dict[str, np.ndarray]:
+        entries = self.manifest.entries
+        return {e.video_id: load_assignment_file(self.labels_path(e.video_id)) for e in entries}
+
+    @cached_property
+    def gt(self) -> KeyStepAssignment:
+        """Ground truth at each video's frame count and rate from its feature header."""
+        annotation = self.annotation
+        headers = {e.video_id: load_feature_header(e.feature_path) for e in self.manifest.entries}
+        counts = {video_id: T for video_id, (T, _, _) in headers.items()}
+        rates = {video_id: fps for video_id, (_, _, fps) in headers.items()}
+        return annotation_to_assignment(annotation, counts, rates)
+
+    def labels_path(self, video_id: str) -> Path:
+        return self.out / "assignments" / f"{video_id}.csv"
+
+    def assignment(self, K: int) -> KeyStepAssignment:
+        """``labels`` over K key-steps; a label outside 0..K fails naming its file."""
+        for video_id, labels in self.labels.items():
+            try:
+                KeyStepAssignment(per_video={video_id: labels}, K=K)
+            except ValueError as exc:
+                raise ValueError(f"{self.labels_path(video_id)}: {exc}") from None
+        return KeyStepAssignment(per_video=self.labels, K=K)
 
 
-def _load_embeddings(cfg: dict[str, object], manifest: TaskManifest):
-    params = load_params(_out_dir(cfg) / "params.cncp")
-    sequences = manifest.load_feature_sequences()
-    embeddings = {seq.video_id: embed_sequence(params, seq) for seq in sequences}
-    return sequences, embeddings
-
-
-def _load_assignments(cfg: dict[str, object], manifest: TaskManifest, K: int) -> KeyStepAssignment:
-    assignments_dir = _out_dir(cfg) / "assignments"
-    per_video = {
-        entry.video_id: load_assignment_file(assignments_dir / f"{entry.video_id}.csv")
-        for entry in manifest.entries
-    }
-    return KeyStepAssignment(per_video=per_video, K=K)
-
-
-def _gt_assignment(manifest: TaskManifest) -> KeyStepAssignment:
-    annotation = manifest.load_annotation()
-    per_video = {}
-    for entry in manifest.entries:
-        T, _, fps = load_feature_header(entry.feature_path)
-        per_video[entry.video_id] = segments_to_frame_labels(annotation, entry.video_id, T, fps)
-    return KeyStepAssignment(per_video=per_video, K=annotation.K)
+def _resolved_k(run: _Run) -> int:
+    return int(run.cfg["k"]) if "k" in run.explicit else run.manifest.K
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +304,13 @@ def _gt_assignment(manifest: TaskManifest) -> KeyStepAssignment:
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(cfg: dict[str, object], explicit: set[str]) -> None:
-    out = _out_dir(cfg)
-    spec = _synth_spec(cfg)
-    sequences, annotation = generate(spec, task_name=str(cfg["task_name"]))
+def cmd_synth(run: _Run) -> None:
+    spec = _stage_config(SynthSpec, run.cfg, K=run.cfg["k"])
+    sequences, annotation = generate(spec, task_name=str(run.cfg["task_name"]))
     entries = []
     for seq in sequences:
-        feature_path = out / "features" / f"{seq.video_id}.feat"
-        annotation_path = out / "annotations" / f"{seq.video_id}.csv"
+        feature_path = run.out / "features" / f"{seq.video_id}.feat"
+        annotation_path = run.out / "annotations" / f"{seq.video_id}.csv"
         _atomic_write(feature_path, lambda tmp, s=seq: save_features(tmp, s))
         _atomic_write(
             annotation_path,
@@ -323,62 +325,52 @@ def cmd_synth(cfg: dict[str, object], explicit: set[str]) -> None:
         )
     manifest = TaskManifest(task_name=annotation.task_name, K=spec.K, entries=entries)
     # The temp file shares the manifest's directory, so relative paths match.
-    _atomic_write(_manifest_path(cfg), lambda tmp: save_manifest(tmp, manifest))
+    _atomic_write(run.manifest_path, lambda tmp: save_manifest(tmp, manifest))
+    run.manifest, run.sequences, run.annotation = manifest, sequences, annotation
+    counts = {seq.video_id: seq.num_frames for seq in sequences}
+    run.gt = annotation_to_assignment(annotation, counts, {s.video_id: s.fps for s in sequences})
 
 
-def cmd_train(cfg: dict[str, object], explicit: set[str]) -> None:
-    out = _out_dir(cfg)
-    manifest = load_manifest(_manifest_path(cfg))
-    sequences = manifest.load_feature_sequences()
-    result = train_embedder(sequences, _train_config(cfg))
-    _atomic_write(out / "params.cncp", lambda tmp: save_params(tmp, result.params))
-    _atomic_text(out / "loss_trace.csv", format_loss_trace(result.loss_trace))
+def cmd_train(run: _Run) -> None:
+    config = _stage_config(TrainConfig, run.cfg, seed=int(run.cfg["seed"]) + 1)
+    result = train_embedder(run.sequences, config)
+    _atomic_write(run.out / "params.cncp", lambda tmp: save_params(tmp, result.params))
+    _atomic_text(run.out / "loss_trace.csv", format_loss_trace(result.loss_trace))
+    run.params = result.params
 
 
-def cmd_localize(cfg: dict[str, object], explicit: set[str]) -> None:
-    out = _out_dir(cfg)
-    manifest = load_manifest(_manifest_path(cfg))
-    _, embeddings = _load_embeddings(cfg, manifest)
-    K = _resolved_k(cfg, explicit, manifest)
-    assignment = localize(embeddings, _pcm_config(cfg, K))
+def cmd_localize(run: _Run) -> None:
+    assignment = localize(run.embeddings, _pcm_config(run.cfg, _resolved_k(run)))
     for video_id, labels in assignment.per_video.items():
-        path = out / "assignments" / f"{video_id}.csv"
+        path = run.labels_path(video_id)
         _atomic_write(path, lambda tmp, lab=labels: save_assignment_file(tmp, lab))
+    run.labels = assignment.per_video
 
 
-def cmd_order(cfg: dict[str, object], explicit: set[str]) -> None:
-    manifest = load_manifest(_manifest_path(cfg))
-    K = _resolved_k(cfg, explicit, manifest)
-    assignment = _load_assignments(cfg, manifest, K)
-    _atomic_text(_out_dir(cfg) / "order.csv", format_order(keystep_order(assignment)))
+def cmd_order(run: _Run) -> None:
+    ordering = keystep_order(run.assignment(_resolved_k(run)))
+    _atomic_text(run.out / "order.csv", format_order(ordering))
 
 
-def cmd_evaluate(cfg: dict[str, object], explicit: set[str]) -> None:
-    manifest = load_manifest(_manifest_path(cfg))
-    gt = _gt_assignment(manifest)
-    pred = _load_assignments(cfg, manifest, gt.K)
-    _atomic_text(_out_dir(cfg) / "metrics.csv", format_report(full_report(pred, gt)))
+def cmd_evaluate(run: _Run) -> None:
+    gt = run.gt
+    _atomic_text(run.out / "metrics.csv", format_report(full_report(run.assignment(gt.K), gt)))
 
 
-def cmd_stats(cfg: dict[str, object], explicit: set[str]) -> None:
-    manifest = load_manifest(_manifest_path(cfg))
-    stats = dataset_stats(manifest.load_annotation())
-    _atomic_text(_out_dir(cfg) / "stats.csv", format_stats(stats))
+def cmd_stats(run: _Run) -> None:
+    _atomic_text(run.out / "stats.csv", format_stats(dataset_stats(run.annotation)))
 
 
-def cmd_run_all(cfg: dict[str, object], explicit: set[str]) -> None:
-    cmd_synth(cfg, explicit)
-    cmd_train(cfg, explicit)
-    cmd_localize(cfg, explicit)
-    cmd_order(cfg, explicit)
-    cmd_evaluate(cfg, explicit)
-    cmd_stats(cfg, explicit)
-    manifest = load_manifest(_manifest_path(cfg))
-    _, embeddings = _load_embeddings(cfg, manifest)
-    gt = _gt_assignment(manifest)
-    cnc = _load_assignments(cfg, manifest, _resolved_k(cfg, explicit, manifest))
-    results = compare_methods(embeddings, gt, _pcm_config(cfg, gt.K), cnc)
-    _atomic_text(_out_dir(cfg) / "benchmark.csv", format_benchmark(results))
+def cmd_run_all(run: _Run) -> None:
+    cmd_synth(run)
+    cmd_train(run)
+    cmd_localize(run)
+    cmd_order(run)
+    cmd_evaluate(run)
+    cmd_stats(run)
+    gt = run.gt
+    results = compare_methods(run.embeddings, gt, _pcm_config(run.cfg, gt.K), run.assignment(gt.K))
+    _atomic_text(run.out / "benchmark.csv", format_benchmark(results))
 
 
 _COMMANDS = {
@@ -432,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> None:
     args = build_parser().parse_args(argv)
     cfg, explicit = resolve_config(args)
-    _COMMANDS[args.command][0](cfg, explicit)
+    _COMMANDS[args.command][0](_Run(cfg, explicit))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -41,7 +41,6 @@ __all__ = [
     "load_feature_header",
     "save_features",
     "parse_annotation_file",
-    "load_annotations",
     "save_annotation_file",
     "segments_to_frame_labels",
     "load_manifest",
@@ -320,21 +319,6 @@ def _check_segments(
             )
 
 
-def load_annotations(
-    directory: str | Path,
-    durations: dict[str, float],
-    K: int,
-    task_name: str = "task",
-) -> TaskAnnotation:
-    """Assemble a TaskAnnotation from per-video CSVs named ``<video_id>.csv``."""
-    directory = Path(directory)
-    per_video = {
-        video_id: parse_annotation_file(directory / f"{video_id}.csv", duration, K)
-        for video_id, duration in durations.items()
-    }
-    return TaskAnnotation(task_name=task_name, K=K, per_video=per_video, durations=dict(durations))
-
-
 def save_annotation_file(path: str | Path, segments: list[KeyStepSegment]) -> None:
     lines = [ANNOTATION_HEADER]
     lines.extend(f"{seg.start_s!r},{seg.end_s!r},{seg.label_id}" for seg in segments)
@@ -360,6 +344,23 @@ def segments_to_frame_labels(
         inside = (centers >= seg.start_s) & (centers < seg.end_s)
         labels[inside] = seg.label_id
     return labels
+
+
+def annotation_to_assignment(
+    annotation: TaskAnnotation,
+    frame_counts: dict[str, int],
+    fps: float | dict[str, float] = 1.0,
+) -> KeyStepAssignment:
+    """Rasterize ground-truth segments into per-frame labels.
+
+    ``fps`` is one frame rate for every video or a rate per video.
+    """
+    rates = fps if isinstance(fps, dict) else dict.fromkeys(frame_counts, fps)
+    per_video = {
+        video_id: segments_to_frame_labels(annotation, video_id, T, rates[video_id])
+        for video_id, T in frame_counts.items()
+    }
+    return KeyStepAssignment(per_video=per_video, K=annotation.K)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +448,8 @@ def save_manifest(path: str | Path, manifest: TaskManifest) -> None:
     """Write a manifest; stored paths are made relative to the manifest directory.
 
     Entry paths are read as given from the working directory. Those outside
-    the manifest's directory are stored absolute.
+    the manifest's directory are stored absolute. A name or path holding a
+    comma or line break, which the format cannot store, raises ValueError.
     """
     path = Path(path)
     base = path.parent
@@ -459,6 +461,9 @@ def save_manifest(path: str | Path, manifest: TaskManifest) -> None:
         else:
             annotation = _relative_to(entry.annotation_path, base)
         lines.append(f"{entry.video_id},{feature},{annotation}")
+    for line in lines:
+        if line.count(",") != 2 or len(line.splitlines()) != 1:
+            raise ValueError(f"manifest line {line!r} must hold exactly 3 fields")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

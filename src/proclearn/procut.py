@@ -468,12 +468,15 @@ def localize(embeddings: dict[str, np.ndarray], config: PcmConfig) -> KeyStepAss
     ``min_cut(build_energy_graph(...))``, found by ``_cut_chains``), k-means
     over the foreground side. An empty foreground yields an all-background
     assignment. An empty, non-2-D, non-finite or mis-sized embedding raises
-    ValueError naming its video.
+    ValueError naming its video, and so does K above the task's frame count.
     """
     video_ids = list(embeddings)
     mats = _embedding_matrices(
         [repr(v) for v in video_ids], [embeddings[v] for v in video_ids]
     )
+    frames = sum(len(m) for m in mats)
+    if config.K > frames:
+        raise ValueError(f"K={config.K} exceeds the task's {frames} frames")
     scores = correspondence_scores(mats)
     lengths = [len(s) for s in scores]
     keystep = _cut_chains(

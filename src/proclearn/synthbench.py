@@ -21,7 +21,7 @@ from .core import (
     KeyStepAssignment,
     KeyStepSegment,
     TaskAnnotation,
-    segments_to_frame_labels,
+    annotation_to_assignment,
 )
 from .embed import TrainConfig, embed_sequence, train_embedder
 from .metrics import _SUMMARY_FIELDS, MetricsReport, full_report
@@ -161,17 +161,6 @@ def generate(
 # ---------------------------------------------------------------------------
 # Benchmark
 # ---------------------------------------------------------------------------
-
-
-def annotation_to_assignment(
-    annotation: TaskAnnotation, frame_counts: dict[str, int], fps: float = 1.0
-) -> KeyStepAssignment:
-    """Rasterize ground-truth segments into per-frame labels."""
-    per_video = {
-        video_id: segments_to_frame_labels(annotation, video_id, T, fps)
-        for video_id, T in frame_counts.items()
-    }
-    return KeyStepAssignment(per_video=per_video, K=annotation.K)
 
 
 def compare_methods(

@@ -16,6 +16,7 @@ from proclearn.core import (
     FeatureSequence,
     load_assignment_file,
     load_manifest,
+    save_assignment_file,
     save_features,
 )
 from proclearn.embed import load_params, save_params
@@ -225,6 +226,38 @@ def test_run_all_localizes_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_run_all_reads_no_file_it_wrote(tmp_path, monkeypatch):
+    import proclearn.cli
+    import proclearn.core
+    import proclearn.embed
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"run-all read a file: {args}")
+
+    readers = (
+        "load_manifest",
+        "load_features",
+        "load_feature_header",
+        "load_params",
+        "load_assignment_file",
+        "parse_annotation_file",
+    )
+    for module in (proclearn.cli, proclearn.core, proclearn.embed):
+        for name in readers:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert _run("run-all", tmp_path / "out") == 0
+
+
+def test_run_all_matches_the_standalone_stages(tmp_path):
+    assert _run("run-all", tmp_path / "all") == 0
+    for command in ("synth", "train", "localize", "order", "evaluate", "stats"):
+        assert _run(command, tmp_path / "staged") == 0
+    expected = _tree(tmp_path / "all")
+    del expected["benchmark.csv"]
+    assert _tree(tmp_path / "staged") == expected
+
+
 def test_run_all_is_byte_reproducible(tmp_path):
     first = tmp_path / "first"
     second = tmp_path / "second"
@@ -271,6 +304,35 @@ def test_invalid_domain_exits_5(tmp_path):
     assert not (out / "params.cncp").exists()
     assert _run("train", out) == 0
     assert _run("localize", out, "--k", "0") == 5
+
+
+def test_localize_rejects_k_above_the_frame_count(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("synth", out) == 0
+    assert _run("train", out) == 0
+    capsys.readouterr()
+    assert _run("localize", out, "--k", "41") == 5
+    err = capsys.readouterr().err
+    assert "K=41" in err and "40 frames" in err
+    assert not (out / "assignments").exists()
+
+
+def test_out_of_range_assignment_names_its_file_and_exits_5(tmp_path, capsys):
+    out = tmp_path / "out"
+    for command in ("synth", "train", "localize"):
+        assert _run(command, out) == 0
+    save_assignment_file(out / "assignments" / "video_01.csv", np.full(20, 3))
+    capsys.readouterr()
+    for command in ("order", "evaluate"):
+        assert _run(command, out) == 5
+        err = capsys.readouterr().err
+        assert "assignments/video_01.csv" in err and "0..2" in err
+
+
+def test_run_all_rejects_a_task_name_the_manifest_cannot_store(tmp_path):
+    out = tmp_path / "out"
+    assert _run("run-all", out, "--task_name", "a,b") == 5
+    assert not (out / "manifest.csv").exists()
 
 
 def test_train_names_a_one_frame_video_and_exits_5(tmp_path, capsys):

@@ -16,7 +16,6 @@ from proclearn.core import (
     TaskAnnotation,
     TaskManifest,
     TruncatedFileError,
-    load_annotations,
     load_assignment_file,
     load_feature_header,
     load_features,
@@ -219,14 +218,6 @@ def test_annotation_file_skips_blank_lines(tmp_path):
     path = tmp_path / "v.csv"
     path.write_text("start,end,label\n\n0,1,1\n\n")
     assert parse_annotation_file(path, 2.0, 2) == [KeyStepSegment(0, 1, 1)]
-
-
-def test_load_annotations_assembles_task(tmp_path):
-    save_annotation_file(tmp_path / "a.csv", [KeyStepSegment(0, 1, 1)])
-    save_annotation_file(tmp_path / "b.csv", [KeyStepSegment(0, 2, 2)])
-    ann = load_annotations(tmp_path, {"a": 2.0, "b": 2.0}, K=2, task_name="demo")
-    assert ann.task_name == "demo"
-    assert ann.segment_count("b") == 1
 
 
 # ---------------------------------------------------------------------------

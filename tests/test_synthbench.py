@@ -3,7 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from proclearn.core import KeyStepAssignment, segments_to_frame_labels
+from proclearn.core import (
+    KeyStepAssignment,
+    KeyStepSegment,
+    TaskAnnotation,
+    segments_to_frame_labels,
+)
 from proclearn.embed import TrainConfig
 from proclearn.metrics import dataset_stats
 from proclearn.procut import PcmConfig, localize
@@ -226,6 +231,18 @@ def test_video_may_lose_every_step():
     )
     empty = [v for v in annotation.per_video if annotation.segment_count(v) == 0][0]
     assert np.all(assignment.per_video[empty] == 0)
+
+
+def test_annotation_to_assignment_takes_a_rate_per_video():
+    # [1.0, 2.0) covers frame 1 of 3 at 1 fps, frames 2 and 3 of 6 at 2 fps.
+    segments = [KeyStepSegment(1.0, 2.0, 1)]
+    annotation = TaskAnnotation(
+        task_name="t", K=1, per_video={"a": segments, "b": segments},
+        durations={"a": 3.0, "b": 3.0},
+    )
+    assignment = annotation_to_assignment(annotation, {"a": 3, "b": 6}, {"a": 1.0, "b": 2.0})
+    np.testing.assert_array_equal(assignment.per_video["a"], [0, 1, 0])
+    np.testing.assert_array_equal(assignment.per_video["b"], [0, 0, 1, 1, 0, 0])
 
 
 def test_compare_methods_reports_all_methods():
