@@ -41,7 +41,6 @@ from .core import (
     TaskManifest,
     annotation_to_assignment,
     load_assignment_file,
-    load_feature_header,
     load_manifest,
     save_annotation_file,
     save_assignment_file,
@@ -49,6 +48,7 @@ from .core import (
     save_manifest,
 )
 from .embed import (
+    PAIR_STRATEGIES,
     EmbedderParams,
     TrainConfig,
     embed_sequence,
@@ -150,8 +150,8 @@ KEY_SPECS: tuple[KeySpec, ...] = (
     KeySpec("cidm_window", _parse_int, 5, "temporal neighborhood radius"),
     KeySpec("cidm_margin", _parse_float, 2.0, "hinge margin for far frame pairs"),
     KeySpec("cidm_weight", _parse_float, 1.0, "weight of the temporal-coherence term"),
-    KeySpec("pair_strategy", _parse_choice("all-pairs", "random-pair"), "all-pairs",
-            "video pair schedule: all-pairs or random-pair"),
+    KeySpec("pair_strategy", _parse_choice(*PAIR_STRATEGIES), "all-pairs",
+            "video pair schedule: " + " or ".join(PAIR_STRATEGIES)),
     KeySpec("hidden_dim", _parse_int, 32, "embedder hidden width"),
     KeySpec("embed_dim", _parse_int, 16, "embedding dimensionality"),
     KeySpec("smoothness", _parse_float, 0.5, "n-link capacity between adjacent frames"),
@@ -277,7 +277,7 @@ class _Run:
     def gt(self) -> KeyStepAssignment:
         """Ground truth at each video's frame count and rate from its feature header."""
         annotation = self.annotation
-        headers = {e.video_id: load_feature_header(e.feature_path) for e in self.manifest.entries}
+        headers = self.manifest.headers
         counts = {video_id: T for video_id, (T, _, _) in headers.items()}
         rates = {video_id: fps for video_id, (_, _, fps) in headers.items()}
         return annotation_to_assignment(annotation, counts, rates)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,11 @@ class TaskManifest:
             for entry in self.entries
         ]
 
+    @cached_property
+    def headers(self) -> dict[str, tuple[int, int, float]]:
+        """Each video's feature header (T, D, fps), read once per manifest."""
+        return {e.video_id: load_feature_header(e.feature_path) for e in self.entries}
+
     def load_annotation(self) -> TaskAnnotation:
         """Load ground truth for every annotated video; requires all entries annotated.
 
@@ -399,7 +405,7 @@ class TaskManifest:
                 raise AnnotationError(
                     f"video {entry.video_id!r} has no annotation file in the manifest"
                 )
-            T, _, fps = load_feature_header(entry.feature_path)
+            T, _, fps = self.headers[entry.video_id]
             duration = T / fps
             per_video[entry.video_id] = parse_annotation_file(
                 entry.annotation_path, duration, self.K
@@ -410,14 +416,19 @@ class TaskManifest:
         )
 
 
+def _numbered_lines(path: Path) -> list[tuple[int, str]]:
+    """The stripped non-blank lines of a text file with their 1-based line numbers."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [(lineno, line.strip()) for lineno, line in enumerate(lines, start=1) if line.strip()]
+
+
 def load_manifest(path: str | Path) -> TaskManifest:
     path = Path(path)
     base = path.parent
-    lines = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
-    lines = [line for line in lines if line]
+    lines = _numbered_lines(path)
     if not lines:
         raise FileFormatError(f"{path}: empty manifest")
-    head = lines[0].split(",")
+    head = lines[0][1].split(",")
     if len(head) != 3 or head[0] != "task":
         raise FileFormatError(f"{path}: first line must be 'task,<task_name>,<K>'")
     try:
@@ -427,7 +438,7 @@ def load_manifest(path: str | Path) -> TaskManifest:
     if K < 1:
         raise FileFormatError(f"{path}: K must be >= 1, got {K}")
     entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 3:
             raise FileFormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
@@ -490,12 +501,11 @@ def save_assignment_file(path: str | Path, labels: np.ndarray) -> None:
 
 def load_assignment_file(path: str | Path) -> np.ndarray:
     path = Path(path)
-    lines = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
-    lines = [line for line in lines if line]
-    if not lines or lines[0] != ASSIGNMENT_HEADER:
+    lines = _numbered_lines(path)
+    if not lines or lines[0][1] != ASSIGNMENT_HEADER:
         raise FileFormatError(f"{path}: missing '{ASSIGNMENT_HEADER}' header")
     labels = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 2:
             raise FileFormatError(f"{path}:{lineno}: expected 2 fields")
@@ -503,7 +513,7 @@ def load_assignment_file(path: str | Path) -> np.ndarray:
             frame, label = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-        if frame != lineno - 2:
+        if frame != len(labels):
             raise FileFormatError(f"{path}:{lineno}: frames must be contiguous from 0")
         labels.append(label)
     return np.asarray(labels, dtype=np.int64)

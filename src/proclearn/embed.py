@@ -41,6 +41,7 @@ PARAMS_MAGIC = b"CNCP"
 PARAMS_VERSION = 1
 
 __all__ = [
+    "PAIR_STRATEGIES",
     "EmbedderParams",
     "TrainConfig",
     "TrainResult",
@@ -97,6 +98,9 @@ class EmbedderParams:
         return self.W2.shape[0]
 
 
+PAIR_STRATEGIES = ("all-pairs", "random-pair")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for embedder training.
@@ -130,7 +134,7 @@ class TrainConfig:
             raise ValueError("loss weights must be non-negative")
         if self.cidm_window < 1 or not (self.cidm_margin > 0):
             raise ValueError("cidm_window must be >= 1 and cidm_margin positive")
-        if self.pair_strategy not in ("all-pairs", "random-pair"):
+        if self.pair_strategy not in PAIR_STRATEGIES:
             raise ValueError(f"unknown pair_strategy {self.pair_strategy!r}")
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import AnnotationError, KeyStepAssignment, TaskAnnotation
 
@@ -55,6 +54,20 @@ class StepScores:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+# MetricsReport's scalar scores, in the order format_report writes them.
+_SUMMARY_FIELDS = (
+    "legacy_f1",
+    "legacy_iou",
+    "legacy_precision",
+    "legacy_recall",
+    "mean_f1",
+    "mean_iou",
+    "mean_precision",
+    "mean_recall",
+    "mof",
+)
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     mapping: dict[int, int]
@@ -70,17 +83,7 @@ class MetricsReport:
     mof: float
 
     def __post_init__(self):
-        for name in (
-            "mean_precision",
-            "mean_recall",
-            "mean_f1",
-            "mean_iou",
-            "legacy_precision",
-            "legacy_recall",
-            "legacy_f1",
-            "legacy_iou",
-            "mof",
-        ):
+        for name in _SUMMARY_FIELDS:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
@@ -104,6 +107,39 @@ class DatasetStats:
 # ---------------------------------------------------------------------------
 
 
+def _assignment_columns(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in one min-cost perfect matching of a square matrix.
+
+    Kuhn-Munkres with row and column potentials (Jonker & Volgenant 1987):
+    each row enters along one shortest augmenting path of reduced costs,
+    grown Dijkstra-style over all columns at once. O(n^3).
+    """
+    n = len(cost)
+    u, v = np.zeros(n), np.zeros(n + 1)
+    row_of = np.full(n + 1, -1)  # matched row per column; column n roots each search
+    for i in range(n):
+        row_of[n], col = i, n
+        dist = np.full(n, np.inf)
+        via = np.zeros(n, dtype=np.intp)
+        seen = np.zeros(n + 1, dtype=bool)
+        while row_of[col] >= 0:
+            seen[col] = True
+            row = row_of[col]
+            reduced = cost[row] - u[row] - v[:n]
+            closer = ~seen[:n] & (reduced < dist)
+            dist[closer], via[closer] = reduced[closer], col
+            col = int(np.argmin(np.where(seen[:n], np.inf, dist)))
+            delta = dist[col]
+            u[row_of[seen]] += delta
+            v[seen] -= delta
+            dist[~seen[:n]] -= delta
+        while col != n:
+            row_of[col], col = row_of[via[col]], via[col]
+    columns = np.empty(n, dtype=np.intp)
+    columns[row_of[:n]] = np.arange(n)
+    return columns
+
+
 def hungarian(cost: np.ndarray) -> tuple[dict[int, int], float]:
     """Min-cost perfect matching on the zero-padded square of ``cost``.
 
@@ -124,8 +160,7 @@ def hungarian(cost: np.ndarray) -> tuple[dict[int, int], float]:
     def optimum(matrix: np.ndarray) -> float:
         if matrix.size == 0:
             return 0.0
-        rows, cols = linear_sum_assignment(matrix)
-        return float(matrix[rows, cols].sum())
+        return float(matrix[np.arange(len(matrix)), _assignment_columns(matrix)].sum())
 
     total = optimum(padded)
     assignment: dict[int, int] = {}
@@ -275,18 +310,6 @@ def dataset_stats(annotation: TaskAnnotation) -> DatasetStats:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-_SUMMARY_FIELDS = (
-    "legacy_f1",
-    "legacy_iou",
-    "legacy_precision",
-    "legacy_recall",
-    "mean_f1",
-    "mean_iou",
-    "mean_precision",
-    "mean_recall",
-    "mof",
-)
 
 
 def format_report(report: MetricsReport) -> str:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +19,14 @@ from proclearn.cli import (
 from proclearn.core import (
     FeatureSequence,
     load_assignment_file,
+    load_feature_header,
     load_manifest,
     save_assignment_file,
     save_features,
 )
 from proclearn.embed import load_params, save_params
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 TINY = [
     "--k", "2",
@@ -256,6 +263,35 @@ def test_run_all_matches_the_standalone_stages(tmp_path):
     expected = _tree(tmp_path / "all")
     del expected["benchmark.csv"]
     assert _tree(tmp_path / "staged") == expected
+
+
+def test_evaluate_reads_each_feature_header_once(tmp_path, monkeypatch):
+    import proclearn.cli
+    import proclearn.core
+
+    out = tmp_path / "out"
+    assert _run("run-all", out) == 0
+    expected = (out / "metrics.csv").read_bytes()
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_feature_header(path)
+
+    for module in (proclearn.cli, proclearn.core):
+        if hasattr(module, "load_feature_header"):
+            monkeypatch.setattr(module, "load_feature_header", counted)
+    assert _run("evaluate", out) == 0
+    assert len(calls) == len(load_manifest(out / "manifest.csv").entries)
+    assert (out / "metrics.csv").read_bytes() == expected
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, proclearn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_run_all_is_byte_reproducible(tmp_path):

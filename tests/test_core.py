@@ -320,6 +320,13 @@ def test_manifest_stores_relative_entries_from_working_directory(tmp_path, monke
     assert outside.split(",")[1] == (tmp_path / "feats" / "va.feat").as_posix()
 
 
+def test_manifest_errors_count_blank_lines(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text("task,demo,2\nva,a.feat,-\n\n\nvb,b.feat\n")
+    with pytest.raises(FileFormatError, match=r"manifest.csv:5: expected 3 fields"):
+        load_manifest(path)
+
+
 def test_manifest_format_errors(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text("")
@@ -352,6 +359,18 @@ def test_assignment_roundtrip(tmp_path):
     save_assignment_file(path, np.array([0, 2, 1]))
     assert path.read_text() == "frame,label\n0,0\n1,2\n2,1\n"
     np.testing.assert_array_equal(load_assignment_file(path), [0, 2, 1])
+
+
+def test_assignment_file_errors_count_blank_lines(tmp_path):
+    path = tmp_path / "v.csv"
+    path.write_text("frame,label\n0,1\n\n\n1,x\n")
+    with pytest.raises(FileFormatError, match=r"v.csv:5: "):
+        load_assignment_file(path)
+    path.write_text("frame,label\n\n0,1\n\n1,2\n")
+    np.testing.assert_array_equal(load_assignment_file(path), [1, 2])
+    path.write_text("frame,label\n0,1\n\n2,2\n")
+    with pytest.raises(FileFormatError, match=r"v.csv:4: frames must be contiguous"):
+        load_assignment_file(path)
 
 
 def test_assignment_file_errors(tmp_path):

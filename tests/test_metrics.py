@@ -92,11 +92,21 @@ def test_hungarian_rejects_bad_input():
 
 def test_hungarian_matches_brute_force():
     rng = np.random.default_rng(41)
-    for _ in range(60):
+    for trial in range(240):
         n = int(rng.integers(1, 8))
-        cost = rng.integers(0, 20, size=(n, n)).astype(np.float64)
+        kind = trial % 4
+        if kind == 0:
+            cost = rng.integers(0, 20, size=(n, n)).astype(np.float64)
+        elif kind == 1:  # tie-heavy: many optimal assignments
+            cost = rng.integers(0, 5, size=(n, n)).astype(np.float64)
+        elif kind == 2:  # negated overlap counts, mostly zero, as match_labels passes
+            cost = -rng.integers(0, 50, size=(n, n)) * (rng.random((n, n)) < 0.4)
+        else:  # rectangle, zero-padded to a square
+            cost = rng.integers(-9, 10, size=(n, int(rng.integers(1, 8)))).astype(np.float64)
         assignment, total = hungarian(cost)
-        expected_assignment, expected_total = brute_force_assignment(cost)
+        padded = np.zeros((max(cost.shape),) * 2)
+        padded[: cost.shape[0], : cost.shape[1]] = cost
+        expected_assignment, expected_total = brute_force_assignment(padded)
         assert total == expected_total
         assert assignment == expected_assignment
 
