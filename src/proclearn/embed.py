@@ -17,23 +17,26 @@ against central finite differences. Loss and gradient evaluations are pure;
 parameter updates during training are strictly sequential.
 
 Both losses take squared distances in Gram form, ||x||^2 + ||y||^2 - 2 x.y
-clamped at 0, so their temporaries are pair matrices (N x M), never
-N x M x E. Within one video, pairs closer than about 1e-3 of the largest
-row norm are recomputed from their difference, so equal rows get exactly 0
-and the coherence gradient keeps its precision. A training step computes
-the A-B distance matrix once and shares it between the A-to-B and B-to-A
-cycles, and the coherence weights depend only on (T, window), so they are
-built once per length.
+clamped at 0, so no N x M x E temporary is built. Within one video, pairs
+closer than about 1e-3 of the largest row norm are recomputed from their
+difference, so equal rows get exactly 0 and the coherence gradient keeps
+its precision. A training step computes the A-B distance matrix once and
+shares it between the A-to-B and B-to-A cycles; it is the only full pair
+matrix. Everything else walks the pair matrices in row blocks of at most
+_BLOCK_ENTRIES entries, which stay in cache: per-row work is done within a
+block and column-side gradient terms add up across blocks. The coherence
+weights depend only on the index gap, so each block reads them as windows
+of two length-(2T-1) profiles. Videos of up to 256 frames are one block.
 """
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import FeatureSequence, FileFormatError, TruncatedFileError
 
@@ -219,28 +222,15 @@ def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0, out=d)
 
 
-def _self_sqdist(U: np.ndarray) -> np.ndarray:
-    """``_sqdist(U, U)``, recomputed from row differences where rows are close.
+# Entries of one row block of a loss pair matrix: 512 KB of float64, so a
+# block and its few same-sized temporaries stay in a core's L2 cache.
+_BLOCK_ENTRIES = 1 << 16
 
-    The Gram form's rounding error is a few ulps of the largest ||u||^2 at
-    any distance. Equal rows can come out a few ulps apart, which C-IDM's
-    d > 0 guard would take for a real distance, and the far-pair gradient,
-    which divides by d, loses precision for close rows (about 1e-4 of the
-    largest entry at d = 1e-7 between unit rows). Pairs below 1e-6 of the
-    largest squared norm are recomputed as ||u_i - u_j||^2, exactly 0 for
-    equal rows. They go T pairs at a time, so a collapsed video builds no
-    T x T x E temporary.
-    """
-    T = U.shape[0]
-    d2 = _sqdist(U, U)
-    scale = np.max(np.einsum("ij,ij->i", U, U))
-    close_i, close_j = np.nonzero(d2 < 1e-6 * scale)
-    for start in range(0, close_i.size, T):
-        i = close_i[start : start + T]
-        j = close_j[start : start + T]
-        diff = U[i] - U[j]
-        d2[i, j] = np.einsum("ke,ke->k", diff, diff)
-    return d2
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive row slices of at most max(1, _BLOCK_ENTRIES // width) rows."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -280,7 +270,10 @@ def tcc_loss(
 
     Squared distances are taken in Gram form, ||x||^2 + ||y||^2 - 2 x.y
     clamped at 0, so no N x M x E temporary is built. ``tc3i_loss`` computes
-    the A-B matrix once and gives its transpose to the B-A direction.
+    the A-B matrix once and gives its transpose to the B-A direction. Beyond
+    that matrix, the loss holds only row blocks of cache size: the N x M
+    soft matches and N x N back-matches are built a block of rows of A at a
+    time.
     """
     A, B = _as_pair(A, B)
     return _cycle_back(
@@ -289,76 +282,75 @@ def tcc_loss(
 
 
 def _cycle_back(A, B, dist, temperature, variance_weight, variance_floor):
-    """``tcc_loss`` from the N x M A-B squared distances ``dist`` (left unchanged)."""
-    N = A.shape[0]
-    # C order: the B-A direction of tc3i_loss passes a transposed view.
-    alpha = _softmax_rows(np.divide(dist, -temperature, order="C"))  # N x M
-    V = alpha @ B  # N x E soft-matched frames
-    logits = _sqdist(V, A)
-    logits /= -temperature
-    beta = _softmax_rows(logits)  # N x N
+    """``tcc_loss`` from the N x M A-B squared distances ``dist`` (left unchanged).
+
+    Per-row work runs on row blocks of ``dist`` that stay in cache; the
+    gradient terms of A's and B's columns add up across blocks.
+    """
+    N, M = dist.shape
     k = np.arange(N, dtype=np.float64)
-    mu = beta @ k
-    dev2 = k - mu[:, None]
-    np.square(dev2, out=dev2)  # (k - mu_i)^2
-    var = np.einsum("ik,ik->i", beta, dev2)
-    sig = np.maximum(variance_floor, var)
-    err = k - mu
-    per_frame = err**2 / sig + variance_weight * np.log(sig)
-    if not np.isfinite(per_frame).all():
-        bad = int(np.flatnonzero(~np.isfinite(per_frame))[0])
-        raise FloatingPointError(f"non-finite cycle loss at frame {bad}")
+    per_frame = np.empty(N)
+    gA_rows = np.empty_like(A)  # from pairs (i, j) of ||A_i - B_j||^2, row by row
+    gA_cols, sum_d2 = np.zeros_like(A), np.zeros(N)  # pairs (i, k) of ||V_i - A_k||^2
+    gB_alpha, gB_cols, sum_d1 = np.zeros_like(B), np.zeros_like(B), np.zeros(M)
+    for rows in _row_blocks(N, max(N, M)):
+        # C order: the B-A direction of tc3i_loss passes a transposed view.
+        alpha = _softmax_rows(np.divide(dist[rows], -temperature, order="C"))
+        V = alpha @ B  # soft-matched frames
+        logits = _sqdist(V, A)
+        logits /= -temperature
+        beta = _softmax_rows(logits)
+        mu = beta @ k
+        dev2 = k - mu[:, None]
+        np.square(dev2, out=dev2)  # (k - mu_i)^2
+        var = np.einsum("ik,ik->i", beta, dev2)
+        sig = np.maximum(variance_floor, var)
+        err = k[rows] - mu
+        frame_loss = per_frame[rows]
+        frame_loss[:] = err**2 / sig + variance_weight * np.log(sig)
+        if not np.isfinite(frame_loss).all():
+            bad = rows.start + int(np.flatnonzero(~np.isfinite(frame_loss))[0])
+            raise FloatingPointError(f"non-finite cycle loss at frame {bad}")
+
+        # Backward. var depends on beta only: d var / d beta_k = (k - mu)^2
+        # because the explicit mu-dependence cancels (sum beta_k (k - mu) = 0).
+        g_mu = -2.0 * err / sig
+        g_sig = np.where(var > variance_floor, -(err**2) / sig**2 + variance_weight / sig, 0.0)
+        # g_beta = g_mu k + g_sig (k - mu)^2, built in place in dev2. Its
+        # beta-weighted row sum is g_mu mu + g_sig var, because sum_k beta_k k = mu
+        # and sum_k beta_k (k - mu)^2 = var.
+        g_d2 = dev2
+        g_d2 *= g_sig[:, None]
+        g_d2 += g_mu[:, None] * k
+        g_d2 -= (g_mu * mu + g_sig * var)[:, None]
+        g_d2 *= beta
+        g_d2 /= -temperature  # pairs (i, k) of ||V_i - A_k||^2
+        # d ||V_i - A_k||^2: 2 (V_i - A_k) toward V_i, the negative toward A_k.
+        gV = 2.0 * (g_d2.sum(axis=1)[:, None] * V - g_d2 @ A)
+        gA_cols += g_d2.T @ V
+        sum_d2 += g_d2.sum(axis=0)
+
+        # g_alpha = gV B^T, built in place; its alpha-weighted row sum is gV_i . V_i.
+        g_d1 = gV @ B.T
+        gB_alpha += alpha.T @ gV
+        g_d1 -= np.einsum("ie,ie->i", gV, V)[:, None]
+        g_d1 *= alpha
+        g_d1 /= -temperature  # pairs (i, j) of ||A_i - B_j||^2
+        gA_rows[rows] = 2.0 * (g_d1.sum(axis=1)[:, None] * A[rows] - g_d1 @ B)
+        gB_cols += g_d1.T @ A[rows]
+        sum_d1 += g_d1.sum(axis=0)
+
     loss = float(per_frame.mean())
-
-    # Backward. var depends on beta only: d var / d beta_k = (k - mu)^2
-    # because the explicit mu-dependence cancels (sum beta_k (k - mu) = 0).
-    g_mu = -2.0 * err / sig
-    g_sig = np.where(var > variance_floor, -(err**2) / sig**2 + variance_weight / sig, 0.0)
-    # g_beta = g_mu k + g_sig (k - mu)^2, built in place in dev2. Its
-    # beta-weighted row sum is g_mu mu + g_sig var, because sum_k beta_k k = mu
-    # and sum_k beta_k (k - mu)^2 = var.
-    g_d2 = dev2
-    g_d2 *= g_sig[:, None]
-    g_d2 += g_mu[:, None] * k
-    g_d2 -= (g_mu * mu + g_sig * var)[:, None]
-    g_d2 *= beta
-    g_d2 /= -temperature  # N x N, pairs (i, k) of ||V_i - A_k||^2
-    # d ||V_i - A_k||^2: 2 (V_i - A_k) toward V_i, the negative toward A_k.
-    gV = 2.0 * (g_d2.sum(axis=1)[:, None] * V - g_d2 @ A)
-    gA = -2.0 * (g_d2.T @ V - g_d2.sum(axis=0)[:, None] * A)
-
-    # g_alpha = gV B^T, built in place; its alpha-weighted row sum is gV_i . V_i.
-    g_d1 = gV @ B.T
-    gB = alpha.T @ gV
-    g_d1 -= np.einsum("ie,ie->i", gV, V)[:, None]
-    g_d1 *= alpha
-    g_d1 /= -temperature  # N x M, pairs (i, j) of ||A_i - B_j||^2
-    gA += 2.0 * (g_d1.sum(axis=1)[:, None] * A - g_d1 @ B)
-    gB -= 2.0 * (g_d1.T @ A - g_d1.sum(axis=0)[:, None] * B)
-
+    # Results are allocated after the block temporaries: glibc keeps memory
+    # freed below a live result for the next call instead of returning it to
+    # the OS (40 steps on 200-frame videos: 10k page faults, 44k otherwise).
+    gA = gA_rows - 2.0 * (gA_cols - sum_d2[:, None] * A)
+    gB = gB_alpha - 2.0 * (gB_cols - sum_d1[:, None] * B)
     gA /= N
     gB /= N
     if not (np.isfinite(gA).all() and np.isfinite(gB).all()):
         raise FloatingPointError("non-finite cycle-loss gradient")
     return loss, gA, gB
-
-
-@functools.lru_cache(maxsize=4)
-def _cidm_weights(T: int, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """C-IDM pair weights for T frames, each 0 outside its band.
-
-    The near matrix holds W(i,j) = 1 / (1 + (i-j)^2) for 0 < |i-j| <= window,
-    the far matrix 1 / W for |i-j| > window. They depend on (T, window) only;
-    the cache keeps the last few, so memory does not grow with the number of
-    distinct video lengths. Both are read-only because callers share them.
-    """
-    gap = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
-    inv_weight = 1.0 + gap**2
-    near = np.where((gap > 0) & (gap <= window), 1.0 / inv_weight, 0.0)
-    far = np.where(gap > window, inv_weight, 0.0)
-    near.flags.writeable = False
-    far.flags.writeable = False
-    return near, far
 
 
 def cidm_loss(U: np.ndarray, window: int, margin: float):
@@ -369,11 +361,17 @@ def cidm_loss(U: np.ndarray, window: int, margin: float):
     pairs contribute (1/W) * max(0, margin - d)^2; the result is the mean
     over all frame pairs i < j.
 
-    Distances come from the Gram form ||u_i||^2 + ||u_j||^2 - 2 u_i.u_j,
-    clamped at 0, except that pairs closer than about 1e-3 of the largest
-    row norm are recomputed from u_i - u_j, so equal rows are exactly 0
-    apart. A far pair at d = 0 keeps its hinge term in the loss but adds
-    nothing to the gradient, where the hinge has no derivative.
+    The T x T pair matrices are walked in row blocks of cache size. The
+    weights depend on i - j only: each block reads its rows as windows of two
+    length-(2T-1) profiles, the near weight W for 0 < |i-j| <= window and the
+    far weight 1/W beyond, each 0 outside its band. Distances come from the
+    Gram form ||u_i||^2 + ||u_j||^2 - 2 u_i.u_j, clamped at 0, except that
+    pairs below 1e-6 of the largest ||u||^2 are recomputed from u_i - u_j.
+    The Gram form's rounding is a few ulps of that largest norm at any
+    distance, so without the recompute equal rows could read as apart and
+    the far-pair gradient, which divides by d, would lose precision for
+    close rows. A far pair at d = 0 keeps its hinge term in the loss but
+    adds nothing to the gradient, where the hinge has no derivative.
     """
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2:
@@ -382,22 +380,40 @@ def cidm_loss(U: np.ndarray, window: int, margin: float):
     if T < 2:
         raise ValueError(f"need at least two frames, got {T}")
 
-    near_w, far_w = _cidm_weights(T, window)
+    gap = np.abs(np.arange(1 - T, T))  # profile index T-1+j-i holds pair (i, j)
+    inv_weight = 1.0 + gap**2
+    near = np.where((gap > 0) & (gap <= window), 1.0 / inv_weight, 0.0)
+    far = np.where(gap > window, inv_weight, 0.0)
+    near_rows, far_rows = sliding_window_view(np.stack([near, far]), T, axis=1)[:, ::-1]
     pair_count = T * (T - 1) // 2
-    d = _self_sqdist(U)
-    near_sum = np.vdot(near_w, d)
-    np.sqrt(d, out=d)
-    hinge = np.subtract(margin, d)
-    np.maximum(hinge, 0.0, out=hinge)
-    far_hinge = hinge * far_w
-    loss = float((near_sum + np.vdot(far_hinge, hinge)) / 2.0 / pair_count)
-
-    # coeff[i,j] multiplies (u_i - u_j) in the gradient of the (i,j) term:
-    # 2 W on near pairs, -2 hinge / (W d) on far pairs with d > 0.
-    coeff = np.divide(far_hinge, d, out=np.zeros_like(d), where=d > 0.0)
-    coeff -= near_w
-    coeff *= -2.0 / pair_count
-    grad = coeff.sum(axis=1)[:, None] * U - coeff @ U
+    close = 1e-6 * np.max(np.einsum("ij,ij->i", U, U))
+    near_sum = far_sum = 0.0
+    grads = []  # joined after the loop, as _cycle_back allocates its results
+    for rows in _row_blocks(T, T):
+        near_w, far_w = near_rows[rows], far_rows[rows]
+        d = _sqdist(U[rows], U)
+        close_i, close_j = np.nonzero(d < close)
+        for start in range(0, close_i.size, T):  # T pairs at a time
+            i = close_i[start : start + T]
+            j = close_j[start : start + T]
+            diff = U[rows.start + i] - U[j]
+            d[i, j] = np.einsum("ke,ke->k", diff, diff)
+        near_sum += np.vdot(near_w, d)
+        np.sqrt(d, out=d)
+        hinge = np.subtract(margin, d)
+        np.maximum(hinge, 0.0, out=hinge)
+        far_hinge = hinge * far_w
+        far_sum += np.vdot(far_hinge, hinge)
+        # coeff[i,j] multiplies (u_i - u_j) in the gradient of the (i,j) term:
+        # 2 W on near pairs, -2 hinge / (W d) on far pairs with d > 0. Built
+        # in place; a pair at d = 0 divides by inf and adds nothing.
+        d[d == 0.0] = np.inf
+        coeff = np.divide(far_hinge, d, out=far_hinge)
+        coeff -= near_w
+        coeff *= -2.0 / pair_count
+        grads.append(coeff.sum(axis=1)[:, None] * U[rows] - coeff @ U)
+    grad = np.concatenate(grads)
+    loss = float((near_sum + far_sum) / 2.0 / pair_count)
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite temporal-coherence gradient")
     return loss, grad

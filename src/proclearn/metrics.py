@@ -107,12 +107,14 @@ class DatasetStats:
 # ---------------------------------------------------------------------------
 
 
-def _assignment_columns(cost: np.ndarray) -> np.ndarray:
+def _assignment_columns(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column of each row in one min-cost perfect matching of a square matrix.
 
     Kuhn-Munkres with row and column potentials (Jonker & Volgenant 1987):
     each row enters along one shortest augmenting path of reduced costs,
-    grown Dijkstra-style over all columns at once. O(n^3).
+    grown Dijkstra-style over all columns at once. O(n^3). Also returns the
+    final row and column potentials u and v: every reduced cost
+    cost[i, j] - u[i] - v[j] is >= 0 up to rounding, and 0 on the matching.
     """
     n = len(cost)
     u, v = np.zeros(n), np.zeros(n + 1)
@@ -137,7 +139,7 @@ def _assignment_columns(cost: np.ndarray) -> np.ndarray:
             row_of[col], col = row_of[via[col]], via[col]
     columns = np.empty(n, dtype=np.intp)
     columns[row_of[:n]] = np.arange(n)
-    return columns
+    return columns, u, v[:n]
 
 
 def hungarian(cost: np.ndarray) -> tuple[dict[int, int], float]:
@@ -146,7 +148,11 @@ def hungarian(cost: np.ndarray) -> tuple[dict[int, int], float]:
     Deterministic: among all optimal assignments, returns the
     lexicographically smallest (row 0's column first, then row 1's, ...).
     The refinement fixes one row at a time to the smallest column that keeps
-    the remaining subproblem at the global optimum.
+    the remaining subproblem at the global optimum. Any matching through
+    (row, col) costs at least the optimum plus that entry's reduced cost
+    under the first solve's potentials, so a candidate whose reduced cost
+    exceeds the 1e-9 tolerance plus a rounding margin of 1e-9 n max|cost|
+    is skipped unsolved.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
@@ -160,15 +166,21 @@ def hungarian(cost: np.ndarray) -> tuple[dict[int, int], float]:
     def optimum(matrix: np.ndarray) -> float:
         if matrix.size == 0:
             return 0.0
-        return float(matrix[np.arange(len(matrix)), _assignment_columns(matrix)].sum())
+        columns, _, _ = _assignment_columns(matrix)
+        return float(matrix[np.arange(len(matrix)), columns].sum())
 
-    total = optimum(padded)
+    columns, u, v = _assignment_columns(padded)
+    total = float(padded[np.arange(n), columns].sum())
+    reduced = padded - u[:, None] - v
+    slack = 1e-9 + 1e-9 * n * np.abs(padded).max()
     assignment: dict[int, int] = {}
     free_cols = list(range(n))
     fixed = 0.0
     for row in range(n):
         rest_rows = np.arange(row + 1, n)
         for col in free_cols:
+            if reduced[row, col] > slack:
+                continue
             rest_cols = [c for c in free_cols if c != col]
             candidate = fixed + padded[row, col] + optimum(padded[np.ix_(rest_rows, rest_cols)])
             if candidate <= total + 1e-9:

@@ -173,14 +173,17 @@ def compare_methods(
 
     ``cnc`` is the pipeline's assignment for these embeddings; it must carry
     the ground truth's K, and the baselines run with that K too, so all three
-    are directly comparable under the matching step.
+    are directly comparable under the matching step. The ``cluster_all``
+    k-means takes its seed and restart count from ``pcm_config``.
     """
     if cnc.K != gt.K:
         raise ValueError(f"cnc assignment has K={cnc.K}, ground truth has K={gt.K}")
     lengths = {video_id: len(labels) for video_id, labels in gt.per_video.items()}
     predictions = {
         "cnc": cnc,
-        "cluster_all": baseline_cluster_all(embeddings, gt.K, pcm_config.seed),
+        "cluster_all": baseline_cluster_all(
+            embeddings, gt.K, pcm_config.seed, pcm_config.kmeans_restarts
+        ),
         "random": baseline_random(lengths, gt.K, pcm_config.seed),
     }
     return {name: full_report(predictions[name], gt) for name in BENCHMARK_METHODS}

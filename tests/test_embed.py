@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from oracles import (
     cycle_back_oracle,
     five_point_difference,
 )
+from proclearn import embed
 from proclearn.core import FeatureSequence, FileFormatError, TruncatedFileError
 from proclearn.embed import (
     EmbedderParams,
@@ -47,6 +49,20 @@ TCC_GOLDEN_AXES = 0.21609804130655721
 # Frozen composite: cycle_back(A,B) + cycle_back(B,A) + 0.7*(coh(A)+coh(B))
 # at A=4x3, B=3x3 from default_rng(123), tau=0.3, w=2, margin=0.8.
 TC3I_GOLDEN = 117.12602481845279
+
+
+# Row-block sizes, in pair-matrix entries, that the loss oracle tests run
+# under: the default, which keeps these inputs in one block; 8, a row or two
+# per block on the small random inputs and one row at T = 200; and 1500,
+# seven rows per block at T = 200.
+BLOCKINGS = (embed._BLOCK_ENTRIES, 8, 1500)
+
+
+@contextlib.contextmanager
+def _row_blocks_of(entries):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embed, "_BLOCK_ENTRIES", entries)
+        yield
 
 
 def _identity_params(dim=2):
@@ -132,8 +148,11 @@ def test_tcc_agrees_with_oracle_on_random_inputs():
     for _ in range(10):
         A = rng.standard_normal((int(rng.integers(1, 7)), 3))
         B = rng.standard_normal((int(rng.integers(1, 7)), 3))
-        loss, _, _ = tcc_loss(A, B, 0.5, 1e-3, 1e-6)
-        assert loss == pytest.approx(cycle_back_oracle(A, B, 0.5, 1e-3, 1e-6), rel=1e-12)
+        expected = cycle_back_oracle(A, B, 0.5, 1e-3, 1e-6)
+        for entries in BLOCKINGS:
+            with _row_blocks_of(entries):
+                loss, _, _ = tcc_loss(A, B, 0.5, 1e-3, 1e-6)
+            assert loss == pytest.approx(expected, rel=1e-12)
 
 
 def test_tcc_gradients_match_central_differences():
@@ -141,11 +160,13 @@ def test_tcc_gradients_match_central_differences():
     for _ in range(5):
         A = rng.standard_normal((4, 3))
         B = rng.standard_normal((5, 3))
-        _, gA, gB = tcc_loss(A, B, 0.7, 1e-3, 1e-6)
-        numA = central_difference(lambda X: tcc_loss(X, B, 0.7, 1e-3, 1e-6)[0], A)
-        numB = central_difference(lambda X: tcc_loss(A, X, 0.7, 1e-3, 1e-6)[0], B)
-        assert np.max(np.abs(gA - numA) / (np.abs(numA) + 1e-8)) < 1e-4
-        assert np.max(np.abs(gB - numB) / (np.abs(numB) + 1e-8)) < 1e-4
+        for entries in BLOCKINGS:
+            with _row_blocks_of(entries):
+                _, gA, gB = tcc_loss(A, B, 0.7, 1e-3, 1e-6)
+                numA = central_difference(lambda X: tcc_loss(X, B, 0.7, 1e-3, 1e-6)[0], A)
+                numB = central_difference(lambda X: tcc_loss(A, X, 0.7, 1e-3, 1e-6)[0], B)
+            assert np.max(np.abs(gA - numA) / (np.abs(numA) + 1e-8)) < 1e-4
+            assert np.max(np.abs(gB - numB) / (np.abs(numB) + 1e-8)) < 1e-4
 
 
 def test_tcc_reversal_invariance():
@@ -199,17 +220,22 @@ def test_cidm_matches_oracle_on_random_inputs():
     rng = np.random.default_rng(7)
     for _ in range(10):
         U = rng.standard_normal((int(rng.integers(2, 9)), 3))
-        loss, _ = cidm_loss(U, 2, 1.0)
-        assert loss == pytest.approx(coherence_oracle(U, 2, 1.0), rel=1e-12)
+        expected = coherence_oracle(U, 2, 1.0)
+        for entries in BLOCKINGS:
+            with _row_blocks_of(entries):
+                loss, _ = cidm_loss(U, 2, 1.0)
+            assert loss == pytest.approx(expected, rel=1e-12)
 
 
 def test_cidm_gradients_match_central_differences():
     rng = np.random.default_rng(8)
     for _ in range(5):
         U = rng.standard_normal((6, 3))
-        _, grad = cidm_loss(U, 2, 2.0)
-        num = central_difference(lambda X: cidm_loss(X, 2, 2.0)[0], U)
-        assert np.max(np.abs(grad - num) / (np.abs(num) + 1e-8)) < 1e-4
+        for entries in BLOCKINGS:
+            with _row_blocks_of(entries):
+                _, grad = cidm_loss(U, 2, 2.0)
+                num = central_difference(lambda X: cidm_loss(X, 2, 2.0)[0], U)
+            assert np.max(np.abs(grad - num) / (np.abs(num) + 1e-8)) < 1e-4
 
 
 def test_cidm_time_reversal_symmetry():
@@ -241,14 +267,19 @@ def _with_coincident_rows(seed, T=200, E=16):
 def test_cidm_coincident_rows_match_oracle():
     for seed in (31, 32):
         U = _with_coincident_rows(seed)
-        loss, grad = cidm_loss(U, 5, 2.0)
-        # Equal rows read as a few ulps apart would shift their far hinge
-        # terms by ~1e-8 relative; close rows taken from the Gram form would
-        # get far-pair gradients off by up to ~1e-4 of the largest entry.
-        assert loss == pytest.approx(coherence_oracle(U, 5, 2.0), rel=1e-12)
-        assert np.isfinite(grad).all()
+        expected_loss = coherence_oracle(U, 5, 2.0)
         expected = coherence_grad_oracle(U, 5, 2.0)
-        np.testing.assert_allclose(grad, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
+        for entries in BLOCKINGS:
+            with _row_blocks_of(entries):
+                loss, grad = cidm_loss(U, 5, 2.0)
+            # Equal rows read as a few ulps apart would shift their far hinge
+            # terms by ~1e-8 relative; close rows taken from the Gram form would
+            # get far-pair gradients off by up to ~1e-4 of the largest entry.
+            assert loss == pytest.approx(expected_loss, rel=1e-12)
+            assert np.isfinite(grad).all()
+            np.testing.assert_allclose(
+                grad, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max()
+            )
 
 
 def test_tc3i_coincident_rows_match_oracle():
@@ -256,22 +287,58 @@ def test_tc3i_coincident_rows_match_oracle():
     B = _with_coincident_rows(34)
     B[:50] = A[:50]
     config = TrainConfig(cidm_weight=0.5)
-    loss, gA, gB = tc3i_loss(A, B, config)
     tau, lam, floor = config.temperature, config.variance_weight, config.variance_floor
     w, margin = config.cidm_window, config.cidm_margin
-    expected = (
+    expected_loss = (
         cycle_back_oracle(A, B, tau, lam, floor)
         + cycle_back_oracle(B, A, tau, lam, floor)
         + 0.5 * (coherence_oracle(A, w, margin) + coherence_oracle(B, w, margin))
     )
-    assert loss == pytest.approx(expected, rel=1e-12)
-    assert np.isfinite(gA).all() and np.isfinite(gB).all()
-    # The coherence share of tc3i's gradient is the looped oracle's.
-    _, tA1, tB1 = tcc_loss(A, B, tau, lam, floor)
-    _, tB2, tA2 = tcc_loss(B, A, tau, lam, floor)
-    for g, cycle, U in ((gA, tA1 + tA2, A), (gB, tB1 + tB2, B)):
-        expected = 0.5 * coherence_grad_oracle(U, w, margin)
-        np.testing.assert_allclose(g - cycle, expected, rtol=1e-9, atol=1e-9 * np.abs(g).max())
+    coherence = [0.5 * coherence_grad_oracle(U, w, margin) for U in (A, B)]
+    for entries in BLOCKINGS:
+        with _row_blocks_of(entries):
+            loss, gA, gB = tc3i_loss(A, B, config)
+            _, tA1, tB1 = tcc_loss(A, B, tau, lam, floor)
+            _, tB2, tA2 = tcc_loss(B, A, tau, lam, floor)
+        assert loss == pytest.approx(expected_loss, rel=1e-12)
+        assert np.isfinite(gA).all() and np.isfinite(gB).all()
+        # The coherence share of tc3i's gradient is the looped oracle's.
+        for g, cycle, expected in ((gA, tA1 + tA2, coherence[0]), (gB, tB1 + tB2, coherence[1])):
+            np.testing.assert_allclose(
+                g - cycle, expected, rtol=1e-9, atol=1e-9 * np.abs(g).max()
+            )
+
+
+def test_row_blocks_agree_with_one_block():
+    # N != M, so the A-B and B-A directions split differently; blocks of
+    # several rows only reorder the sums of the column-side gradient terms.
+    # (One-row blocks are left to the oracle tests: their distance rows come
+    # from a matrix-vector product, which rounds the Gram form differently in
+    # the last bit, and the far-pair terms of a coherence gradient row cancel
+    # by up to 1e7 here, which lifts that to about 5e-10 of the largest entry.)
+    A = _with_coincident_rows(37, T=230)
+    B = _with_coincident_rows(38, T=170)
+    config = TrainConfig(cidm_weight=0.5)
+    with _row_blocks_of(230 * 230):
+        one_block = tc3i_loss(A, B, config)
+    for entries in (1500, 4096):  # 6 and 17 rows per block at T = 230
+        with _row_blocks_of(entries):
+            loss, gA, gB = tc3i_loss(A, B, config)
+        assert loss == pytest.approx(one_block[0], rel=1e-12)
+        for g, g_one in ((gA, one_block[1]), (gB, one_block[2])):
+            np.testing.assert_allclose(g, g_one, rtol=1e-12, atol=1e-12 * np.abs(g_one).max())
+
+
+def test_cycle_loss_error_names_the_global_frame():
+    # ||a_7||^2 overflows, so frame 7's soft match, in the fourth block of
+    # two rows, is NaN while every other frame stays finite.
+    rng = np.random.default_rng(39)
+    A = rng.standard_normal((10, 3))
+    A[7] = [1e155, 0.0, 0.0]
+    B = rng.standard_normal((4, 3))
+    with _row_blocks_of(20), np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match="frame 7$"):
+            tcc_loss(A, B, 0.5, 1e-3, 1e-6)
 
 
 def test_cidm_held_memory_does_not_grow_with_video_lengths():
@@ -290,16 +357,17 @@ def test_cidm_held_memory_does_not_grow_with_video_lengths():
 
 
 @pytest.mark.parametrize(
-    "loss_fn",
+    "loss_fn, N, E, pair_matrices",
     [
-        lambda A, B: tcc_loss(A, B, 0.1, 1e-3, 1e-6),
-        lambda A, B: cidm_loss(A, 5, 2.0),
+        # N = M = 300, E = 64: an N x M x E temporary alone would be 46 MB.
+        pytest.param(lambda A, B: tcc_loss(A, B, 0.1, 1e-3, 1e-6), 300, 64, 16, id="tcc_loss"),
+        pytest.param(lambda A, B: cidm_loss(A, 5, 2.0), 300, 64, 16, id="cidm_loss"),
+        # Row blocks leave the A-B distance matrix as the only full pair
+        # matrix of a training step (7.6 MB here).
+        pytest.param(lambda A, B: tc3i_loss(A, B, TrainConfig()), 1000, 16, 2, id="tc3i_loss"),
     ],
-    ids=["tcc_loss", "cidm_loss"],
 )
-def test_loss_peak_memory_is_a_few_pair_matrices(loss_fn):
-    # N = M = 300, E = 64: an N x M x E temporary alone would be 46 MB.
-    N, E = 300, 64
+def test_loss_peak_memory_is_a_few_pair_matrices(loss_fn, N, E, pair_matrices):
     rng = np.random.default_rng(35)
     A = rng.standard_normal((N, E))
     B = rng.standard_normal((N, E))
@@ -309,7 +377,7 @@ def test_loss_peak_memory_is_a_few_pair_matrices(loss_fn):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * N * N * 8
+    assert peak < pair_matrices * N * N * 8
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +443,11 @@ def test_tc3i_gradients_match_central_differences(seed):
     A = rng.standard_normal((N, E))
     B = rng.standard_normal((M, E))
     config = TrainConfig(temperature=0.5, cidm_window=2, cidm_margin=1.0, cidm_weight=0.5)
-    _, gA, gB = tc3i_loss(A, B, config)
-    assert _fd_error(gA, lambda X: tc3i_loss(X, B, config)[0], A) < 1e-4
-    assert _fd_error(gB, lambda X: tc3i_loss(A, X, config)[0], B) < 1e-4
+    for entries in BLOCKINGS[:2]:  # 1500 entries is one block at these sizes
+        with _row_blocks_of(entries):
+            _, gA, gB = tc3i_loss(A, B, config)
+            assert _fd_error(gA, lambda X: tc3i_loss(X, B, config)[0], A) < 1e-4
+            assert _fd_error(gB, lambda X: tc3i_loss(A, X, config)[0], B) < 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from oracles import (
     set_metrics_oracle,
     stats_oracle,
 )
+from proclearn import metrics
 from proclearn.core import AnnotationError, KeyStepAssignment, KeyStepSegment, TaskAnnotation
 from proclearn.metrics import (
     DatasetStats,
@@ -109,6 +110,31 @@ def test_hungarian_matches_brute_force():
         expected_assignment, expected_total = brute_force_assignment(padded)
         assert total == expected_total
         assert assignment == expected_assignment
+
+
+def test_hungarian_refinement_solves_few_subproblems(monkeypatch):
+    # A negated 21 x 21 overlap matrix as match_labels builds at K = 20:
+    # 60% of frames carry a permuted true label, the rest a random one.
+    rng = np.random.default_rng(5)
+    gt = rng.integers(0, 21, size=20000)
+    pred = np.where(rng.random(20000) < 0.6, rng.permutation(21)[gt], rng.integers(0, 21, size=20000))
+    overlap = np.zeros((21, 21))
+    np.add.at(overlap, (pred, gt), 1)
+    solve = metrics._assignment_columns
+    calls = []
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(metrics, "_assignment_columns", counted)
+    assignment, total = hungarian(-overlap)
+    # Only entries with zero reduced cost under the first solve's potentials
+    # can be on an optimal matching; solving every candidate took 118 solves.
+    assert len(calls) <= 2 * 21
+    monkeypatch.undo()
+    assert total == -overlap[list(assignment), list(assignment.values())].sum()
+    assert sorted(assignment.values()) == list(range(21))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from proclearn.core import (
     segments_to_frame_labels,
 )
 from proclearn.embed import TrainConfig
-from proclearn.metrics import dataset_stats
-from proclearn.procut import PcmConfig, localize
+from proclearn.metrics import dataset_stats, full_report
+from proclearn.procut import PcmConfig, baseline_cluster_all, localize
 from proclearn.synthbench import (
     BENCHMARK_METHODS,
     SynthSpec,
@@ -297,6 +297,22 @@ def test_compare_methods_accepts_direct_embeddings():
     config = PcmConfig(K=2, seed=0, kmeans_restarts=2)
     results = compare_methods(embeddings, gt, config, localize(embeddings, config))
     assert tuple(results) == BENCHMARK_METHODS
+
+
+def test_compare_methods_runs_cluster_all_with_the_configured_restarts():
+    # Random unit rows have many k-means local optima, so one restart and
+    # eight give different clusterings.
+    rng = np.random.default_rng(61)
+    gt_labels = {video_id: rng.integers(0, 4, size=40) for video_id in ("a", "b", "c")}
+    gt = KeyStepAssignment(per_video=gt_labels, K=3)
+    embeddings = {}
+    for video_id, labels in gt_labels.items():
+        M = rng.standard_normal((len(labels), 4))
+        embeddings[video_id] = M / np.linalg.norm(M, axis=1, keepdims=True)
+    config = PcmConfig(K=3, seed=5, kmeans_restarts=1)
+    results = compare_methods(embeddings, gt, config, localize(embeddings, config))
+    expected = baseline_cluster_all(embeddings, 3, 5, kmeans_restarts=1)
+    assert results["cluster_all"] == full_report(expected, gt)
 
 
 def test_compare_methods_rejects_cnc_of_another_k():
