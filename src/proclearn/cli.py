@@ -6,8 +6,12 @@ wrote to the --out tree; run-all hands each stage's products to the next in
 memory, so its files are outputs only. Every configuration key has a documented
 default, may appear in a "key = value" config file (full-line # comments),
 and may be overridden by a flag of the same name; flags beat the file, the
-file beats defaults. Outputs are written atomically (temp file then rename),
-and a fixed seed makes every command byte-reproducible.
+file beats defaults. Five keys are run-wide (out, manifest, seed, task_name,
+k); every other key is a field of SynthSpec, TrainConfig or PcmConfig
+declared with ``core.setting``, which gives its name, default, help and
+parser, so a new field of those configs is a key with no edit here. Outputs
+are written atomically (temp file then rename), and a fixed seed makes every
+command byte-reproducible.
 
 Stage seeding: generation uses the seed as given, training uses seed + 1,
 and localization (cut clustering and baselines) uses seed + 2, so stages
@@ -48,7 +52,6 @@ from .core import (
     save_manifest,
 )
 from .embed import (
-    PAIR_STRATEGIES,
     EmbedderParams,
     TrainConfig,
     embed_sequence,
@@ -106,10 +109,6 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
 def _parse_choice(*options: str) -> Callable[[str], str]:
     def parse(text: str) -> str:
         value = text.strip()
@@ -128,35 +127,34 @@ class KeySpec:
     help: str
 
 
+_TYPE_PARSERS: dict[type, Callable[[str], object]] = {int: _parse_int, float: _parse_float}
+
+
+def _field_keys(cls) -> list[KeySpec]:
+    """A stage config's fields declared by ``setting`` as keys, parsed by their
+    choices or else by their default's type; any other type raises TypeError."""
+    specs = []
+    for field in fields(cls):
+        if "help" not in field.metadata:
+            continue  # K and seed, which each stage sets itself
+        choices = field.metadata["choices"]
+        parse = _parse_choice(*choices) if choices else _TYPE_PARSERS.get(type(field.default))
+        if parse is None:
+            raise TypeError(f"{cls.__name__}.{field.name}: no parser for {field.default!r}")
+        specs.append(KeySpec(field.name, parse, field.default, field.metadata["help"]))
+    return specs
+
+
 KEY_SPECS: tuple[KeySpec, ...] = (
-    KeySpec("out", _parse_str, ".", "output directory"),
-    KeySpec("manifest", _parse_str, "", "manifest path (default: <out>/manifest.csv)"),
-    KeySpec("seed", _parse_u64, 7, "global seed; stages derive their own streams"),
-    KeySpec("task_name", _parse_str, "synthetic", "task name for generated data"),
-    KeySpec("k", _parse_int, 5, "number of key-steps (localize/order default to the manifest's)"),
-    KeySpec("num_videos", _parse_int, 5, "videos per generated task"),
-    KeySpec("frames_per_video", _parse_int, 200, "frames in each generated video"),
-    KeySpec("feature_dim", _parse_int, 16, "raw feature dimensionality"),
-    KeySpec("foreground_ratio_target", _parse_float, 0.6, "target key-step frame fraction"),
-    KeySpec("missing_prob", _parse_float, 0.1, "chance each video drops each step"),
-    KeySpec("repeat_prob", _parse_float, 0.1, "chance each video duplicates a step"),
-    KeySpec("order_jitter", _parse_float, 0.1, "chance of swapping each adjacent step pair"),
-    KeySpec("noise_sigma", _parse_float, 0.05, "feature noise scale"),
-    KeySpec("steps", _parse_int, 500, "training steps"),
-    KeySpec("learning_rate", _parse_float, 0.01, "gradient descent rate"),
-    KeySpec("temperature", _parse_float, 0.1, "cycle-consistency softmax temperature"),
-    KeySpec("variance_weight", _parse_float, 0.001, "weight of the log-variance term"),
-    KeySpec("variance_floor", _parse_float, 1e-6, "lower bound on the regression variance"),
-    KeySpec("cidm_window", _parse_int, 5, "temporal neighborhood radius"),
-    KeySpec("cidm_margin", _parse_float, 2.0, "hinge margin for far frame pairs"),
-    KeySpec("cidm_weight", _parse_float, 1.0, "weight of the temporal-coherence term"),
-    KeySpec("pair_strategy", _parse_choice(*PAIR_STRATEGIES), "all-pairs",
-            "video pair schedule: " + " or ".join(PAIR_STRATEGIES)),
-    KeySpec("hidden_dim", _parse_int, 32, "embedder hidden width"),
-    KeySpec("embed_dim", _parse_int, 16, "embedding dimensionality"),
-    KeySpec("smoothness", _parse_float, 0.5, "n-link capacity between adjacent frames"),
-    KeySpec("background_bias", _parse_float, 0.0, "unary offset raising background prevalence"),
-    KeySpec("kmeans_restarts", _parse_int, 8, "k-means restarts for foreground clustering"),
+    KeySpec("out", str.strip, ".", "output directory"),
+    KeySpec("manifest", str.strip, "", "manifest path (default: <out>/manifest.csv)"),
+    KeySpec("seed", _parse_u64, SynthSpec.seed, "global seed; stages derive their own streams"),
+    KeySpec("task_name", str.strip, "synthetic", "task name for generated data"),
+    KeySpec("k", _parse_int, SynthSpec.K,
+            "number of key-steps (localize/order default to the manifest's)"),
+    *_field_keys(SynthSpec),
+    *_field_keys(TrainConfig),
+    *_field_keys(PcmConfig),
 )
 
 _KEYS = {spec.name: spec for spec in KEY_SPECS}
@@ -400,21 +398,16 @@ configuration keys (file "key = value" lines or flags of the same name):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    layout = {"epilog": _EPILOG, "formatter_class": argparse.RawDescriptionHelpFormatter}
     parser = argparse.ArgumentParser(
         prog="proclearn",
         description="Key-step discovery pipeline: correspondence learning, "
         "graph-cut localization, ordering, and evaluation.",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        **layout,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (_, description) in _COMMANDS.items():
-        sub = subparsers.add_parser(
-            name,
-            help=description,
-            epilog=_EPILOG,
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
+        sub = subparsers.add_parser(name, help=description, **layout)
         sub.add_argument("--config", default=None, help="path to a key = value config file")
         for spec in KEY_SPECS:
             sub.add_argument(f"--{spec.name}", default=None, metavar="V", help=spec.help)

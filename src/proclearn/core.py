@@ -22,6 +22,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -61,6 +62,12 @@ class TruncatedFileError(FileFormatError):
 
 class AnnotationError(ValueError):
     """Annotation content violates task constraints."""
+
+
+def setting(default, help: str, choices: tuple[str, ...] = ()):
+    """A stage-config field that is also the configuration key of its name;
+    ``choices``, when given, are the only values the key accepts."""
+    return field(default=default, metadata={"help": help, "choices": choices})
 
 
 @dataclass(frozen=True)
@@ -206,24 +213,31 @@ def save_features(path: str | Path, sequence: FeatureSequence) -> None:
     Path(path).write_bytes(header + payload)
 
 
+def _binary_fields(path, head, size, layout, magic, version, floats: Callable[..., int]):
+    """The fields after magic and version of a ``size``-byte binary file whose
+    ``head`` starts with a ``layout`` header and ``floats(*fields)`` f64 values follow."""
+    if size < layout.size:
+        raise TruncatedFileError(f"{path}: file shorter than its {layout.size}-byte header")
+    found_magic, found_version, *values = layout.unpack_from(head)
+    if found_magic != magic:
+        raise FileFormatError(f"{path}: bad magic {found_magic!r}")
+    if found_version != version:
+        raise FileFormatError(f"{path}: unsupported version {found_version}")
+    held, expected = size - layout.size, 8 * floats(*values)
+    if held < expected:
+        raise TruncatedFileError(f"{path}: payload holds {held} bytes, expected {expected}")
+    if held > expected:
+        raise FileFormatError(f"{path}: {held - expected} trailing bytes")
+    return values
+
+
 def _parse_header(path: Path, head: bytes, size: int) -> tuple[int, int, float]:
     """Check a feature file's header against the file's byte size; return T, D, fps."""
-    if size < _HEADER.size:
-        raise TruncatedFileError(f"{path}: file shorter than feature header")
-    magic, version, T, D, fps = _HEADER.unpack_from(head)
-    if magic != FEATURE_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}")
-    if version != FEATURE_VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version}")
+    T, D, fps = _binary_fields(
+        path, head, size, _HEADER, FEATURE_MAGIC, FEATURE_VERSION, lambda T, D, fps: T * D
+    )
     if T < 1 or D < 1:
         raise FileFormatError(f"{path}: header declares empty matrix ({T} x {D})")
-    expected = _HEADER.size + T * D * 8
-    if size < expected:
-        raise TruncatedFileError(
-            f"{path}: payload holds {size - _HEADER.size} bytes, expected {T * D * 8}"
-        )
-    if size > expected:
-        raise FileFormatError(f"{path}: {size - expected} trailing bytes")
     if not (fps > 0) or not np.isfinite(fps):
         raise ValueError(f"{path}: invalid fps {fps}")
     return T, D, fps
@@ -262,6 +276,36 @@ def load_features(path: str | Path, video_id: str | None = None) -> FeatureSeque
 
 
 # ---------------------------------------------------------------------------
+# CSV files
+# ---------------------------------------------------------------------------
+
+
+def _csv_rows(path: Path, header: str, types: tuple[Callable[[str], object], ...]):
+    """A CSV file's header fields and (line number, fields parsed by ``types``) rows.
+
+    Blank lines count in line numbers only; ``<name>`` in ``header`` matches anything."""
+    lines = enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+    numbered = [(lineno, line.strip()) for lineno, line in lines if line.strip()]
+    pattern = header.split(",")
+    head = numbered[0][1].split(",") if numbered else []
+    if len(head) != len(pattern) or any(
+        want != got for want, got in zip(pattern, head) if not want.startswith("<")
+    ):
+        raise FileFormatError(f"{path}: missing '{header}' header")
+    rows = []
+    for lineno, line in numbered[1:]:
+        parts = line.split(",")
+        if len(parts) != len(types):
+            got = f"expected {len(types)} fields, got {len(parts)}"
+            raise FileFormatError(f"{path}:{lineno}: {got}")
+        try:
+            rows.append((lineno, [parse(part) for parse, part in zip(types, parts)]))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+    return head, rows
+
+
+# ---------------------------------------------------------------------------
 # Annotation files
 # ---------------------------------------------------------------------------
 
@@ -277,22 +321,8 @@ def parse_annotation_file(
     pairwise non-overlapping (repeating a label in disjoint segments is fine).
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != ANNOTATION_HEADER:
-        raise FileFormatError(f"{path}: missing '{ANNOTATION_HEADER}' header")
-    segments: list[KeyStepSegment] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise FileFormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            start_s, end_s, label_id = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-        segments.append(KeyStepSegment(start_s, end_s, label_id))
+    _, rows = _csv_rows(path, ANNOTATION_HEADER, (float, float, int))
+    segments = [KeyStepSegment(*values) for _, values in rows]
     _check_segments(segments, duration, K, str(path))
     return segments
 
@@ -416,40 +446,24 @@ class TaskManifest:
         )
 
 
-def _numbered_lines(path: Path) -> list[tuple[int, str]]:
-    """The stripped non-blank lines of a text file with their 1-based line numbers."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return [(lineno, line.strip()) for lineno, line in enumerate(lines, start=1) if line.strip()]
-
-
 def load_manifest(path: str | Path) -> TaskManifest:
     path = Path(path)
     base = path.parent
-    lines = _numbered_lines(path)
-    if not lines:
-        raise FileFormatError(f"{path}: empty manifest")
-    head = lines[0][1].split(",")
-    if len(head) != 3 or head[0] != "task":
-        raise FileFormatError(f"{path}: first line must be 'task,<task_name>,<K>'")
+    head, rows = _csv_rows(path, "task,<task_name>,<K>", (str, str, str))
     try:
         K = int(head[2])
     except ValueError:
         raise FileFormatError(f"{path}: K must be an integer, got {head[2]!r}") from None
     if K < 1:
         raise FileFormatError(f"{path}: K must be >= 1, got {K}")
-    entries = []
-    for lineno, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise FileFormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-        video_id, feature_file, annotation_file = parts
-        entries.append(
-            ManifestEntry(
-                video_id=video_id,
-                feature_path=base / feature_file,
-                annotation_path=None if annotation_file == "-" else base / annotation_file,
-            )
+    entries = [
+        ManifestEntry(
+            video_id=video_id,
+            feature_path=base / feature_file,
+            annotation_path=None if annotation_file == "-" else base / annotation_file,
         )
+        for _, (video_id, feature_file, annotation_file) in rows
+    ]
     if not entries:
         raise FileFormatError(f"{path}: manifest lists no videos")
     return TaskManifest(task_name=head[1], K=K, entries=entries)
@@ -501,18 +515,9 @@ def save_assignment_file(path: str | Path, labels: np.ndarray) -> None:
 
 def load_assignment_file(path: str | Path) -> np.ndarray:
     path = Path(path)
-    lines = _numbered_lines(path)
-    if not lines or lines[0][1] != ASSIGNMENT_HEADER:
-        raise FileFormatError(f"{path}: missing '{ASSIGNMENT_HEADER}' header")
+    _, rows = _csv_rows(path, ASSIGNMENT_HEADER, (int, int))
     labels = []
-    for lineno, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise FileFormatError(f"{path}:{lineno}: expected 2 fields")
-        try:
-            frame, label = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+    for lineno, (frame, label) in rows:
         if frame != len(labels):
             raise FileFormatError(f"{path}:{lineno}: frames must be contiguous from 0")
         labels.append(label)

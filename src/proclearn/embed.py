@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import FeatureSequence, FileFormatError, TruncatedFileError
+from .core import FeatureSequence, _binary_fields, setting
 
 PARAMS_MAGIC = b"CNCP"
 PARAMS_VERSION = 1
@@ -113,18 +113,20 @@ class TrainConfig:
     ``cidm_*`` knobs control the temporal-coherence regularizer.
     """
 
-    learning_rate: float = 1e-2
-    steps: int = 500
-    temperature: float = 0.1
-    variance_weight: float = 1e-3
-    variance_floor: float = 1e-6
-    cidm_window: int = 5
-    cidm_margin: float = 2.0
-    cidm_weight: float = 1.0
+    steps: int = setting(500, "training steps")
+    learning_rate: float = setting(1e-2, "gradient descent rate")
+    temperature: float = setting(0.1, "cycle-consistency softmax temperature")
+    variance_weight: float = setting(1e-3, "weight of the log-variance term")
+    variance_floor: float = setting(1e-6, "lower bound on the regression variance")
+    cidm_window: int = setting(5, "temporal neighborhood radius")
+    cidm_margin: float = setting(2.0, "hinge margin for far frame pairs")
+    cidm_weight: float = setting(1.0, "weight of the temporal-coherence term")
     seed: int = 0
-    pair_strategy: str = "all-pairs"
-    hidden_dim: int = 32
-    embed_dim: int = 16
+    pair_strategy: str = setting(
+        "all-pairs", "video pair schedule: " + " or ".join(PAIR_STRATEGIES), PAIR_STRATEGIES
+    )
+    hidden_dim: int = setting(32, "embedder hidden width")
+    embed_dim: int = setting(16, "embedding dimensionality")
 
     def __post_init__(self):
         if self.steps < 0:
@@ -167,7 +169,11 @@ def _forward(params: EmbedderParams, features: np.ndarray):
     pre = features @ params.W1.T + params.b1
     hidden = np.tanh(pre)
     out = hidden @ params.W2.T + params.b2
-    norms = np.linalg.norm(out, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(out, axis=1)
+    if not np.isfinite(norms).all():
+        row = int(np.flatnonzero(~np.isfinite(norms))[0])
+        raise FloatingPointError(f"non-finite embedding norm at frame {row}")
     if np.any(norms == 0.0):
         row = int(np.flatnonzero(norms == 0.0)[0])
         raise ValueError(f"zero-norm embedding before normalization at frame {row}")
@@ -192,15 +198,19 @@ def _backward(params: EmbedderParams, cache, grad_embedded: np.ndarray):
 def embed_sequence(params: EmbedderParams, sequence: FeatureSequence) -> np.ndarray:
     """Embed every frame; rows come back unit-L2-normalized.
 
-    Raises a shape error when the feature dimension disagrees with the
-    parameters and a value error if any row normalizes from zero.
+    Raises ValueError when the feature dimension disagrees with the
+    parameters, and ValueError naming the video and frame when a row's norm
+    is zero or not finite: these parameters cannot embed this video.
     """
     if sequence.feature_dim != params.input_dim:
         raise ValueError(
             f"feature dim {sequence.feature_dim} does not match "
             f"embedder input dim {params.input_dim}"
         )
-    embedded, _ = _forward(params, sequence.features)
+    try:
+        embedded, _ = _forward(params, sequence.features)
+    except (FloatingPointError, ValueError) as exc:
+        raise ValueError(f"video {sequence.video_id!r}: {exc}") from None
     return embedded
 
 
@@ -521,27 +531,13 @@ def save_params(path: str | Path, params: EmbedderParams) -> None:
 def load_params(path: str | Path) -> EmbedderParams:
     path = Path(path)
     raw = path.read_bytes()
-    if len(raw) < _PARAMS_HEADER.size:
-        raise TruncatedFileError(f"{path}: file shorter than parameter header")
-    magic, version, D, H, E = _PARAMS_HEADER.unpack_from(raw)
-    if magic != PARAMS_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}")
-    if version != PARAMS_VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version}")
-    counts = [H * D, H, E * H, E]
-    expected = _PARAMS_HEADER.size + 8 * sum(counts)
-    if len(raw) < expected:
-        raise TruncatedFileError(f"{path}: truncated parameter payload")
-    if len(raw) > expected:
-        raise FileFormatError(f"{path}: {len(raw) - expected} trailing bytes")
-    flat = np.frombuffer(raw, dtype="<f8", offset=_PARAMS_HEADER.size)
-    offsets = np.cumsum([0] + counts)
-    W1, b1, W2, b2 = (
-        flat[offsets[i] : offsets[i + 1]].copy() for i in range(4)
+    D, H, E = _binary_fields(
+        path, raw, len(raw), _PARAMS_HEADER, PARAMS_MAGIC, PARAMS_VERSION,
+        lambda D, H, E: H * D + H + E * H + E,
     )
-    return EmbedderParams(
-        W1=W1.reshape(H, D), b1=b1, W2=W2.reshape(E, H), b2=b2
-    )
+    flat = np.frombuffer(raw, dtype="<f8", offset=_PARAMS_HEADER.size).copy()
+    W1, b1, W2, b2 = np.split(flat, np.cumsum([H * D, H, E * H]))
+    return EmbedderParams(W1=W1.reshape(H, D), b1=b1, W2=W2.reshape(E, H), b2=b2)
 
 
 def format_loss_trace(trace: list[float]) -> str:

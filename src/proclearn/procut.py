@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import KeyStepAssignment
+from .core import KeyStepAssignment, setting
 
 EPS = 1e-12
 
@@ -86,10 +86,12 @@ class CutResult:
 
 @dataclass(frozen=True)
 class PcmConfig:
-    K: int = 7
-    smoothness: float = 0.5
-    background_bias: float = 0.0
-    kmeans_restarts: int = 8
+    """Localization settings; K defaults to ``SynthSpec``'s 5 key-steps."""
+
+    K: int = 5
+    smoothness: float = setting(0.5, "n-link capacity between adjacent frames")
+    background_bias: float = setting(0.0, "unary offset raising background prevalence")
+    kmeans_restarts: int = setting(8, "k-means restarts for foreground clustering")
     seed: int = 0
 
     def __post_init__(self):
@@ -108,13 +110,14 @@ class PcmConfig:
 # ---------------------------------------------------------------------------
 
 
-def _embedding_matrices(names: list[str], embeddings: list) -> list[np.ndarray]:
+def _embedding_matrices(embeddings: dict) -> list[np.ndarray]:
     """Each video's embedding as a finite float T x E matrix of one shared E.
 
-    Errors name the offending video by its entry in ``names``.
+    Errors name the offending video by the repr of its key.
     """
+    names = [repr(v) for v in embeddings]
     mats = []
-    for name, E in zip(names, embeddings):
+    for name, E in zip(names, embeddings.values()):
         M = np.asarray(E, dtype=np.float64)
         if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
             raise ValueError(
@@ -145,7 +148,7 @@ def correspondence_scores(embeddings: list[np.ndarray]) -> list[np.ndarray]:
     """
     if len(embeddings) < 2:
         raise ValueError(f"need at least 2 videos, got {len(embeddings)}")
-    mats = _embedding_matrices([str(v) for v in range(len(embeddings))], embeddings)
+    mats = _embedding_matrices(dict(enumerate(embeddings)))
     acc = [np.zeros(E.shape[0]) for E in mats]
     for v, E in enumerate(mats):
         for w in range(v + 1, len(mats)):
@@ -471,9 +474,7 @@ def localize(embeddings: dict[str, np.ndarray], config: PcmConfig) -> KeyStepAss
     ValueError naming its video, and so does K above the task's frame count.
     """
     video_ids = list(embeddings)
-    mats = _embedding_matrices(
-        [repr(v) for v in video_ids], [embeddings[v] for v in video_ids]
-    )
+    mats = _embedding_matrices(embeddings)
     frames = sum(len(m) for m in mats)
     if config.K > frames:
         raise ValueError(f"K={config.K} exceeds the task's {frames} frames")
@@ -517,11 +518,14 @@ def baseline_random(
 def baseline_cluster_all(
     embeddings: dict[str, np.ndarray], K: int, seed: int, kmeans_restarts: int = 8
 ) -> KeyStepAssignment:
-    """k-means over every frame of every video; no background separation."""
+    """k-means over every frame of every video; no background separation.
+
+    Embeddings are checked as in ``localize``; errors name the video.
+    """
     if len(embeddings) < 1:
         raise ValueError("need at least one video")
     video_ids = list(embeddings)
-    mats = [np.asarray(embeddings[v], dtype=np.float64) for v in video_ids]
+    mats = _embedding_matrices(embeddings)
     flat, _ = cluster_foreground(np.concatenate(mats), K, kmeans_restarts, seed)
     lengths = [m.shape[0] for m in mats]
     return KeyStepAssignment(per_video=_split_by_video(flat, video_ids, lengths), K=K)

@@ -22,6 +22,7 @@ from .core import (
     KeyStepSegment,
     TaskAnnotation,
     annotation_to_assignment,
+    setting,
 )
 from .embed import TrainConfig, embed_sequence, train_embedder
 from .metrics import _SUMMARY_FIELDS, MetricsReport, full_report
@@ -42,14 +43,14 @@ BENCHMARK_METHODS = ("cnc", "cluster_all", "random")
 @dataclass(frozen=True)
 class SynthSpec:
     K: int = 5
-    num_videos: int = 5
-    frames_per_video: int = 200
-    feature_dim: int = 16
-    foreground_ratio_target: float = 0.6
-    missing_prob: float = 0.1
-    repeat_prob: float = 0.1
-    order_jitter: float = 0.1
-    noise_sigma: float = 0.05
+    num_videos: int = setting(5, "videos per generated task")
+    frames_per_video: int = setting(200, "frames in each generated video")
+    feature_dim: int = setting(16, "raw feature dimensionality")
+    foreground_ratio_target: float = setting(0.6, "target key-step frame fraction")
+    missing_prob: float = setting(0.1, "chance each video drops each step")
+    repeat_prob: float = setting(0.1, "chance each video duplicates a step")
+    order_jitter: float = setting(0.1, "chance of swapping each adjacent step pair")
+    noise_sigma: float = setting(0.05, "feature noise scale")
     seed: int = 7
 
     def __post_init__(self):

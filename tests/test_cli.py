@@ -3,14 +3,16 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from proclearn.cli import (
+    KEY_SPECS,
     ConfigError,
+    _field_keys,
     build_parser,
     main,
     parse_config_file,
@@ -23,8 +25,11 @@ from proclearn.core import (
     load_manifest,
     save_assignment_file,
     save_features,
+    setting,
 )
-from proclearn.embed import load_params, save_params
+from proclearn.embed import TrainConfig, load_params, save_params
+from proclearn.procut import PcmConfig
+from proclearn.synthbench import SynthSpec
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -117,6 +122,27 @@ def test_config_error_in_file_exits_with_usage_error(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("bogus = 1\n")
     assert main(["synth", "--out", str(tmp_path), "--config", str(config)]) == 2
+
+
+def test_every_stage_config_field_is_a_key_with_its_default():
+    keys = {spec.name: spec for spec in KEY_SPECS}
+    for cls in (SynthSpec, TrainConfig, PcmConfig):
+        for field in fields(cls):
+            if field.name in ("K", "seed"):
+                continue
+            assert keys[field.name].default == field.default, field.name
+            assert keys[field.name].help == field.metadata["help"], field.name
+    assert keys["k"].default == SynthSpec.K
+    assert keys["seed"].default == SynthSpec.seed
+
+
+def test_a_key_of_an_unparseable_type_fails():
+    @dataclass(frozen=True)
+    class Odd:
+        name: str = setting("x", "a free-text setting")
+
+    with pytest.raises(TypeError, match="Odd.name"):
+        _field_keys(Odd)
 
 
 def test_unknown_flag_raises_argparse_exit():
@@ -398,6 +424,13 @@ def test_localize_names_a_non_finite_embedding_and_exits_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'video_00'" in err and "non-finite" in err
     assert not (out / "assignments").exists()
+
+
+def test_diverging_training_exits_6_from_train(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("run-all", out, "--learning_rate", "1e300") == 6
+    assert "embedding norm" in capsys.readouterr().err
+    assert not (out / "params.cncp").exists()
 
 
 def test_numeric_failure_exits_6(tmp_path):

@@ -373,6 +373,27 @@ def test_assignment_file_errors_count_blank_lines(tmp_path):
         load_assignment_file(path)
 
 
+def test_csv_readers_share_the_header_and_row_rules(tmp_path):
+    path = tmp_path / "v.csv"
+    readers = {
+        "start,end,label": (lambda p: parse_annotation_file(p, 9.0, 2), "0,1,1"),
+        "frame,label": (load_assignment_file, "0,1"),
+        "task,demo,2": (load_manifest, "v,a.feat,-"),
+    }
+    for header, (read, row) in readers.items():
+        width = len(row.split(","))
+        path.write_text(f"\n\n{header}\n{row}\n")
+        read(path)  # blank lines before the header are skipped
+        path.write_text(f"\n{header}\n{row}\n\n{row},9\n")
+        with pytest.raises(
+            FileFormatError, match=rf"v.csv:5: expected {width} fields, got {width + 1}$"
+        ):
+            read(path)
+        path.write_text(f"{row}\n")
+        with pytest.raises(FileFormatError, match="header"):
+            read(path)
+
+
 def test_assignment_file_errors(tmp_path):
     path = tmp_path / "v.csv"
     path.write_text("label,frame\n0,0\n")

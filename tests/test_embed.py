@@ -120,6 +120,19 @@ def test_embed_zero_norm_row_raises():
         embed_sequence(_identity_params(), seq)
 
 
+def test_embed_overflowing_norm_raises_naming_the_frame():
+    # Each output entry is finite (about 2e200) but its squared norm overflows.
+    params = EmbedderParams(
+        W1=np.ones((2, 3)), b1=np.zeros(2), W2=np.full((2, 2), 1e200), b2=np.zeros(2)
+    )
+    features = np.vstack([np.zeros((2, 3)), np.ones((1, 3))])
+    with pytest.raises(FloatingPointError, match="non-finite embedding norm at frame 2"):
+        embed._forward(params, features)
+    seq = FeatureSequence(video_id="clip", features=features, fps=1.0)
+    with pytest.raises(ValueError, match="video 'clip': non-finite embedding norm at frame 2"):
+        embed_sequence(params, seq)
+
+
 def test_embed_dim_mismatch_raises():
     seq = FeatureSequence(video_id="v", features=np.ones((2, 3)), fps=1.0)
     with pytest.raises(ValueError, match="dim"):
@@ -564,7 +577,7 @@ def test_params_file_errors(tmp_path):
     with pytest.raises(FileFormatError):
         load_params(bad)
     bad.write_bytes(raw[:-8])
-    with pytest.raises(TruncatedFileError):
+    with pytest.raises(TruncatedFileError, match="payload holds .* bytes, expected"):
         load_params(bad)
     bad.write_bytes(raw + b"\x00")
     with pytest.raises(FileFormatError, match="trailing"):

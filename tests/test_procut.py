@@ -111,6 +111,8 @@ def test_scores_errors_name_the_video():
             correspondence_scores([*good, bad])
         with pytest.raises(ValueError, match="video 'clip_b'"):
             localize({"clip_a": good[0], "clip_b": bad}, PcmConfig(K=2))
+        with pytest.raises(ValueError, match="video 'clip_b'"):
+            baseline_cluster_all({"clip_a": good[0], "clip_b": bad}, K=2, seed=0)
 
 
 def test_scores_single_video_rejected():

@@ -23,6 +23,16 @@ from proclearn.synthbench import (
 )
 
 
+def test_default_configs_agree_on_k():
+    spec = SynthSpec(num_videos=3, frames_per_video=40)
+    dataset, annotation = generate(spec)
+    embeddings = {s.video_id: s.features / np.linalg.norm(s.features, axis=1, keepdims=True)
+                  for s in dataset}
+    gt = annotation_to_assignment(annotation, {s.video_id: s.num_frames for s in dataset})
+    report = full_report(localize(embeddings, PcmConfig()), gt)
+    assert PcmConfig().K == SynthSpec().K == gt.K == len(report.per_keystep)
+
+
 def _clean_spec(**overrides):
     base = dict(
         K=3,
