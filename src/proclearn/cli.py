@@ -8,10 +8,10 @@ default, may appear in a "key = value" config file (full-line # comments),
 and may be overridden by a flag of the same name; flags beat the file, the
 file beats defaults. Five keys are run-wide (out, manifest, seed, task_name,
 k); every other key is a field of SynthSpec, TrainConfig or PcmConfig
-declared with ``core.setting``, which gives its name, default, help and
-parser, so a new field of those configs is a key with no edit here. Outputs
-are written atomically (temp file then rename), and a fixed seed makes every
-command byte-reproducible.
+declared with ``core.setting``, which gives its name, default and help, and
+its default's type (int or float) gives its parser, so a new field of those
+configs is a key with no edit here. Outputs are written atomically (temp file
+then rename), and a fixed seed makes every command byte-reproducible.
 
 Stage seeding: generation uses the seed as given, training uses seed + 1,
 and localization (cut clustering and baselines) uses seed + 2, so stages
@@ -109,16 +109,6 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_choice(*options: str) -> Callable[[str], str]:
-    def parse(text: str) -> str:
-        value = text.strip()
-        if value not in options:
-            raise ConfigError(f"expected one of {options}, got {value!r}")
-        return value
-
-    return parse
-
-
 @dataclass(frozen=True)
 class KeySpec:
     name: str
@@ -132,13 +122,12 @@ _TYPE_PARSERS: dict[type, Callable[[str], object]] = {int: _parse_int, float: _p
 
 def _field_keys(cls) -> list[KeySpec]:
     """A stage config's fields declared by ``setting`` as keys, parsed by their
-    choices or else by their default's type; any other type raises TypeError."""
+    default's type; a type other than int or float raises TypeError."""
     specs = []
     for field in fields(cls):
         if "help" not in field.metadata:
             continue  # K and seed, which each stage sets itself
-        choices = field.metadata["choices"]
-        parse = _parse_choice(*choices) if choices else _TYPE_PARSERS.get(type(field.default))
+        parse = _TYPE_PARSERS.get(type(field.default))
         if parse is None:
             raise TypeError(f"{cls.__name__}.{field.name}: no parser for {field.default!r}")
         specs.append(KeySpec(field.name, parse, field.default, field.metadata["help"]))

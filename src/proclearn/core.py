@@ -64,10 +64,10 @@ class AnnotationError(ValueError):
     """Annotation content violates task constraints."""
 
 
-def setting(default, help: str, choices: tuple[str, ...] = ()):
-    """A stage-config field that is also the configuration key of its name;
-    ``choices``, when given, are the only values the key accepts."""
-    return field(default=default, metadata={"help": help, "choices": choices})
+def setting(default, help: str):
+    """A stage-config field that is also the configuration key of its name,
+    parsed by its default's type."""
+    return field(default=default, metadata={"help": help})
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ PARAMS_MAGIC = b"CNCP"
 PARAMS_VERSION = 1
 
 __all__ = [
-    "PAIR_STRATEGIES",
     "EmbedderParams",
     "TrainConfig",
     "TrainResult",
@@ -101,9 +100,6 @@ class EmbedderParams:
         return self.W2.shape[0]
 
 
-PAIR_STRATEGIES = ("all-pairs", "random-pair")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for embedder training.
@@ -122,15 +118,14 @@ class TrainConfig:
     cidm_margin: float = setting(2.0, "hinge margin for far frame pairs")
     cidm_weight: float = setting(1.0, "weight of the temporal-coherence term")
     seed: int = 0
-    pair_strategy: str = setting(
-        "all-pairs", "video pair schedule: " + " or ".join(PAIR_STRATEGIES), PAIR_STRATEGIES
-    )
     hidden_dim: int = setting(32, "embedder hidden width")
     embed_dim: int = setting(16, "embedding dimensionality")
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if not (self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not (self.temperature > 0):
             raise ValueError("temperature must be positive")
         if not (self.variance_floor > 0):
@@ -139,8 +134,6 @@ class TrainConfig:
             raise ValueError("loss weights must be non-negative")
         if self.cidm_window < 1 or not (self.cidm_margin > 0):
             raise ValueError("cidm_window must be >= 1 and cidm_margin positive")
-        if self.pair_strategy not in PAIR_STRATEGIES:
-            raise ValueError(f"unknown pair_strategy {self.pair_strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -462,9 +455,10 @@ def tc3i_loss(A: np.ndarray, B: np.ndarray, config: TrainConfig):
 def train_embedder(dataset: list[FeatureSequence], config: TrainConfig) -> TrainResult:
     """Train from a seeded initialization by plain gradient descent.
 
-    Each step embeds one video pair (chosen per ``pair_strategy``), evaluates
-    the combined loss, and applies its exact gradient. The loss trace is
-    reproducible bit-for-bit for a fixed seed.
+    Step s trains on pair s mod P of the P video pairs (i, j), i < j, taken
+    in order: it embeds both videos, evaluates the combined loss, and applies
+    its exact gradient. A numeric failure names the step and both videos. The
+    loss trace is reproducible bit-for-bit for a fixed seed.
     """
     if len(dataset) < 2:
         raise ValueError(f"training needs at least two videos, got {len(dataset)}")
@@ -484,15 +478,16 @@ def train_embedder(dataset: list[FeatureSequence], config: TrainConfig) -> Train
 
     trace: list[float] = []
     for step in range(config.steps):
-        if config.pair_strategy == "all-pairs":
-            i, j = pairs[step % len(pairs)]
-        else:
-            i, j = rng.choice(len(dataset), size=2, replace=False)
-        A, cache_a = _forward(params, dataset[i].features)
-        B, cache_b = _forward(params, dataset[j].features)
-        loss, gA, gB = tc3i_loss(A, B, config)
-        gW1a, gb1a, gW2a, gb2a = _backward(params, cache_a, gA)
-        gW1b, gb1b, gW2b, gb2b = _backward(params, cache_b, gB)
+        i, j = pairs[step % len(pairs)]
+        try:
+            A, cache_a = _forward(params, dataset[i].features)
+            B, cache_b = _forward(params, dataset[j].features)
+            loss, gA, gB = tc3i_loss(A, B, config)
+            gW1a, gb1a, gW2a, gb2a = _backward(params, cache_a, gA)
+            gW1b, gb1b, gW2b, gb2b = _backward(params, cache_b, gB)
+        except FloatingPointError as exc:
+            videos = f"{dataset[i].video_id!r} and {dataset[j].video_id!r}"
+            raise FloatingPointError(f"training step {step} on videos {videos}: {exc}") from None
         lr = config.learning_rate
         params = replace(
             params,

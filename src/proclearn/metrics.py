@@ -40,6 +40,14 @@ __all__ = [
 ]
 
 
+def _check_unit_interval(scores, *names: str) -> None:
+    """Raise ValueError naming the first of ``names`` outside [0, 1]."""
+    for name in names:
+        value = getattr(scores, name)
+        if not (0.0 <= value <= 1.0):
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class StepScores:
     precision: float
@@ -48,10 +56,7 @@ class StepScores:
     iou: float
 
     def __post_init__(self):
-        for name in ("precision", "recall", "f1", "iou"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        _check_unit_interval(self, "precision", "recall", "f1", "iou")
 
 
 # MetricsReport's scalar scores, in the order format_report writes them.
@@ -83,10 +88,7 @@ class MetricsReport:
     mof: float
 
     def __post_init__(self):
-        for name in _SUMMARY_FIELDS:
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        _check_unit_interval(self, *_SUMMARY_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,7 @@ class DatasetStats:
     repeated_keysteps: float
 
     def __post_init__(self):
-        for name in ("foreground_ratio", "missing_keysteps", "repeated_keysteps"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        _check_unit_interval(self, "foreground_ratio", "missing_keysteps", "repeated_keysteps")
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +301,7 @@ def dataset_stats(annotation: TaskAnnotation) -> DatasetStats:
     unique_total = 0
     segment_total = 0
     for video_id in videos:
-        duration = annotation.video_duration(video_id)
-        if duration == 0:
-            raise AnnotationError(f"video {video_id!r} has zero duration")
-        ratios.append(annotation.keystep_duration(video_id) / duration)
+        ratios.append(annotation.keystep_duration(video_id) / annotation.video_duration(video_id))
         unique_total += annotation.unique_labels(video_id)
         segment_total += annotation.segment_count(video_id)
     if segment_total == 0:

@@ -516,7 +516,10 @@ def baseline_random(
 
 
 def baseline_cluster_all(
-    embeddings: dict[str, np.ndarray], K: int, seed: int, kmeans_restarts: int = 8
+    embeddings: dict[str, np.ndarray],
+    K: int,
+    seed: int,
+    kmeans_restarts: int = PcmConfig.kmeans_restarts,
 ) -> KeyStepAssignment:
     """k-means over every frame of every video; no background separation.
 

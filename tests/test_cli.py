@@ -69,11 +69,11 @@ def test_config_file_accepts_comments_and_blanks(tmp_path):
         "# training\n"
         "\n"
         "steps = 12\n"
-        "pair_strategy = random-pair\n"
+        "learning_rate = 0.05\n"
         "noise_sigma=0.2\n"
     )
     raw = parse_config_file(config)
-    assert raw == {"steps": "12", "pair_strategy": "random-pair", "noise_sigma": "0.2"}
+    assert raw == {"steps": "12", "learning_rate": "0.05", "noise_sigma": "0.2"}
 
 
 @pytest.mark.parametrize(
@@ -111,7 +111,6 @@ def test_flags_beat_file_beats_default(tmp_path):
         ["--seed", "-1"],
         ["--steps", "3.5"],
         ["--noise_sigma", "inf"],
-        ["--pair_strategy", "alternating"],
     ],
 )
 def test_unparseable_values_exit_with_usage_error(tmp_path, flags):
@@ -429,7 +428,19 @@ def test_localize_names_a_non_finite_embedding_and_exits_5(tmp_path, capsys):
 def test_diverging_training_exits_6_from_train(tmp_path, capsys):
     out = tmp_path / "out"
     assert _run("run-all", out, "--learning_rate", "1e300") == 6
-    assert "embedding norm" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "embedding norm" in err
+    assert "training step " in err and "'video_00'" in err
+    assert not (out / "params.cncp").exists()
+
+
+@pytest.mark.parametrize("rate", ["0", "-0.5"])
+def test_non_positive_learning_rate_exits_5(tmp_path, capsys, rate):
+    out = tmp_path / "out"
+    assert _run("synth", out) == 0
+    capsys.readouterr()
+    assert _run("train", out, "--learning_rate", rate) == 5
+    assert "learning_rate" in capsys.readouterr().err
     assert not (out / "params.cncp").exists()
 
 

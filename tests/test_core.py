@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import proclearn
 from proclearn.core import (
     AnnotationError,
     FeatureSequence,
@@ -408,3 +411,17 @@ def test_assignment_file_errors(tmp_path):
     path.write_text("frame,label\n0,x\n")
     with pytest.raises(FileFormatError):
         load_assignment_file(path)
+
+
+# ---------------------------------------------------------------------------
+# Package
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "module", sorted(info.name for info in pkgutil.iter_modules(proclearn.__path__))
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"proclearn.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

@@ -500,14 +500,20 @@ def test_train_is_deterministic(tmp_path):
     assert (tmp_path / "a.cncp").read_bytes() == (tmp_path / "b.cncp").read_bytes()
 
 
-def test_train_random_pair_strategy_runs_and_differs():
-    dataset = _toy_dataset(N=3)
-    base = TrainConfig(steps=6, seed=13, hidden_dim=6, embed_dim=3)
-    cycled = train_embedder(dataset, base)
-    from dataclasses import replace
+def test_train_visits_pairs_round_robin(monkeypatch):
+    dataset = [
+        FeatureSequence(video_id=f"v{n}", features=video.features[: 6 + n], fps=1.0)
+        for n, video in enumerate(_toy_dataset(N=3))
+    ]
+    lengths = []
 
-    sampled = train_embedder(dataset, replace(base, pair_strategy="random-pair"))
-    assert cycled.loss_trace != sampled.loss_trace
+    def recording_loss(A, B, config):
+        lengths.append((len(A), len(B)))
+        return tc3i_loss(A, B, config)
+
+    monkeypatch.setattr(embed, "tc3i_loss", recording_loss)
+    train_embedder(dataset, TrainConfig(steps=5, seed=13, hidden_dim=6, embed_dim=3))
+    assert lengths == [(6, 7), (6, 8), (7, 8), (6, 7), (6, 8)]
 
 
 def test_train_reduces_loss_on_planted_data():
@@ -542,8 +548,9 @@ def test_train_config_validation():
         TrainConfig(variance_floor=0.0)
     with pytest.raises(ValueError):
         TrainConfig(cidm_weight=-1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(pair_strategy="zigzag")
+    for rate in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
     with pytest.raises(ValueError, match="steps"):
         TrainConfig(steps=-1)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -519,6 +520,11 @@ def test_baseline_cluster_all_partitions_clouds():
         baseline_cluster_all(videos, K=0, seed=0)
     with pytest.raises(ValueError):
         baseline_cluster_all({}, K=1, seed=0)
+
+
+def test_baseline_cluster_all_restarts_default_to_pcm_config():
+    default = inspect.signature(baseline_cluster_all).parameters["kmeans_restarts"].default
+    assert default == PcmConfig().kmeans_restarts
 
 
 def test_pcm_config_validation():
