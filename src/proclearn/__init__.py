@@ -50,7 +50,7 @@ from .metrics import (
     hungarian,
     match_labels,
 )
-from .order import KeyStepOrder, induced_sequence, keystep_order
+from .order import KeyStepOrder, keystep_order
 from .procut import (
     CutResult,
     EnergyGraph,

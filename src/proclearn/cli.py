@@ -383,7 +383,12 @@ exit codes:
 configuration keys (file "key = value" lines or flags of the same name):
 """ + "\n".join(
     f"  {spec.name:<25} default {spec.default!r}: {spec.help}" for spec in KEY_SPECS
-)
+) + """
+
+negative values: a flag takes "-0.5" as its value, but a negative number in
+exponent form reads as another flag, so join it with "=":
+  --background_bias=-1e-3
+"""
 
 
 def build_parser() -> argparse.ArgumentParser:

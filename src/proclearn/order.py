@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import KeyStepAssignment
 
-__all__ = ["KeyStepOrder", "keystep_order", "induced_sequence", "format_order"]
+__all__ = ["KeyStepOrder", "keystep_order", "format_order"]
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,6 @@ def keystep_order(assignment: KeyStepAssignment) -> KeyStepOrder:
     means = {label: totals[label] / counts[label] for label in counts}
     order = sorted(means, key=lambda label: (means[label], label))
     return KeyStepOrder(order=order, mean_positions=means)
-
-
-def induced_sequence(assignment: KeyStepAssignment, video_id: str) -> list[int]:
-    """One video's key-step sequence: background dropped, runs collapsed."""
-    if video_id not in assignment.per_video:
-        raise KeyError(f"unknown video {video_id!r}")
-    sequence: list[int] = []
-    for label in assignment.per_video[video_id]:
-        if label == 0:
-            continue
-        if not sequence or sequence[-1] != label:
-            sequence.append(int(label))
-    return sequence
 
 
 def format_order(order: KeyStepOrder) -> str:

@@ -11,22 +11,20 @@ the source link), and ``sink_cap[i]`` is the cost of labeling it key-step.
 Labels are the unique minimal source side over all minimum cuts, so ties go
 to background and results do not depend on solver internals.
 
-``localize`` only ever cuts disjoint per-video Potts chains, so it labels
-them with forward-backward min-marginals in O(T) per video, all videos in
-step. ``build_energy_graph`` and ``min_cut`` (Dinic max-flow) stay as the
-general graph and solver, and the tests check ``localize`` against them.
+The graph is one two-label Potts chain per video, and ``EnergyGraph`` holds
+just that: per-frame t-link capacities, the video lengths, and the one
+``smoothness`` of every n-link between adjacent frames of a video.
+``min_cut`` labels it with forward-backward min-marginals in O(T) per
+video, all videos in step.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import KeyStepAssignment, setting
-
-EPS = 1e-12
 
 __all__ = [
     "EnergyGraph",
@@ -45,30 +43,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnergyGraph:
-    """Two-terminal energy: per-node t-link capacities plus within-video n-links."""
+    """Two-terminal energy over frames concatenated video by video.
 
-    node_count: int
+    Each video is a chain: an n-link of capacity ``smoothness`` joins every
+    two temporally adjacent frames of one video, and no n-link crosses from
+    one video to the next.
+    """
+
     source_cap: np.ndarray
     sink_cap: np.ndarray
-    n_links: list[tuple[int, int, float]] = field(default_factory=list)
+    video_lengths: tuple[int, ...]
+    smoothness: float
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise ValueError(f"node_count must be >= 1, got {self.node_count}")
+        lengths = np.asarray(self.video_lengths)
+        if (
+            lengths.ndim != 1
+            or lengths.size == 0
+            or lengths.dtype.kind not in "iu"
+            or (lengths < 1).any()
+        ):
+            raise ValueError(f"video_lengths must be positive integers, got {lengths!r}")
+        object.__setattr__(self, "video_lengths", tuple(int(L) for L in lengths))
         for name in ("source_cap", "sink_cap"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (self.node_count,):
-                raise ValueError(f"{name} must have one entry per node")
+            if arr.shape != (int(lengths.sum()),):
+                raise ValueError(f"{name} must have one entry per frame of video_lengths")
             if not np.isfinite(arr).all() or (arr < 0).any():
                 raise ValueError(f"{name} entries must be finite and >= 0")
             object.__setattr__(self, name, arr)
-        for u, v, cap in self.n_links:
-            if u == v:
-                raise ValueError(f"n-link endpoints must differ, got ({u}, {v})")
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValueError(f"n-link ({u}, {v}) out of range")
-            if not (np.isfinite(cap) and cap >= 0):
-                raise ValueError(f"n-link capacity must be finite and >= 0, got {cap}")
+        if not (np.isfinite(self.smoothness) and self.smoothness >= 0):
+            raise ValueError(f"smoothness must be finite and >= 0, got {self.smoothness}")
+        object.__setattr__(self, "smoothness", float(self.smoothness))
+
+    @property
+    def node_count(self) -> int:
+        return self.source_cap.shape[0]
 
 
 @dataclass(frozen=True)
@@ -158,15 +168,6 @@ def correspondence_scores(embeddings: list[np.ndarray]) -> list[np.ndarray]:
     return [np.clip(a / (len(mats) - 1), -1.0, 1.0) for a in acc]
 
 
-def _tlink_caps(scores: np.ndarray, background_bias: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame (source_cap, sink_cap) by the t-link rule of ``build_energy_graph``."""
-    c = (scores + 1.0) / 2.0
-    bg_cost = c
-    ks_cost = 1.0 - c + background_bias
-    shift = np.minimum(0.0, np.minimum(bg_cost, ks_cost))
-    return np.maximum(0.0, bg_cost - shift), np.maximum(0.0, ks_cost - shift)
-
-
 def build_energy_graph(
     scores: np.ndarray,
     video_lengths: list[int],
@@ -180,27 +181,20 @@ def build_energy_graph(
     drives a cost negative, both of the frame's t-links are shifted up
     together so neither capacity goes below zero (the minimizer is
     unaffected). n-links of capacity ``smoothness`` join temporally adjacent
-    frames of the same video; none are added when smoothness is 0.
+    frames of the same video.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or not np.isfinite(scores).all():
         raise ValueError("scores must be a finite vector")
-    if any(L < 1 for L in video_lengths) or sum(video_lengths) != scores.shape[0]:
-        raise ValueError("video_lengths must be positive and sum to len(scores)")
-
-    source_cap, sink_cap = _tlink_caps(scores, background_bias)
-    n_links: list[tuple[int, int, float]] = []
-    if smoothness > 0:
-        offset = 0
-        for L in video_lengths:
-            for t in range(L - 1):
-                n_links.append((offset + t, offset + t + 1, float(smoothness)))
-            offset += L
+    c = (scores + 1.0) / 2.0
+    bg_cost = c
+    ks_cost = 1.0 - c + background_bias
+    shift = np.minimum(0.0, np.minimum(bg_cost, ks_cost))
     return EnergyGraph(
-        node_count=scores.shape[0],
-        source_cap=source_cap,
-        sink_cap=sink_cap,
-        n_links=n_links,
+        source_cap=np.maximum(0.0, bg_cost - shift),
+        sink_cap=np.maximum(0.0, ks_cost - shift),
+        video_lengths=video_lengths,
+        smoothness=smoothness,
     )
 
 
@@ -210,111 +204,7 @@ def build_energy_graph(
 
 
 def min_cut(graph: EnergyGraph) -> CutResult:
-    """Cut the graph exactly; labels come from residual source-reachability.
-
-    Max-flow by Dinic's algorithm with paired residual edges; the blocking
-    flow search is iterative, so long frame chains cannot hit the recursion
-    limit. Residual capacities below EPS count as saturated.
-    """
-    n = graph.node_count
-    source, sink = n, n + 1
-    heads: list[list[int]] = [[] for _ in range(n + 2)]
-    to: list[int] = []
-    cap: list[float] = []
-
-    def add_edge(u: int, v: int, c_uv: float, c_vu: float) -> None:
-        heads[u].append(len(to))
-        to.append(v)
-        cap.append(c_uv)
-        heads[v].append(len(to))
-        to.append(u)
-        cap.append(c_vu)
-
-    for i in range(n):
-        add_edge(source, i, float(graph.source_cap[i]), 0.0)
-        add_edge(i, sink, float(graph.sink_cap[i]), 0.0)
-    for u, v, c_uv in graph.n_links:
-        add_edge(u, v, float(c_uv), float(c_uv))
-
-    total = 0.0
-    num_nodes = n + 2
-    while True:
-        level = [-1] * num_nodes
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for eid in heads[u]:
-                v = to[eid]
-                if cap[eid] > EPS and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[sink] < 0:
-            break
-        ptr = [0] * num_nodes
-        while True:
-            # Walk source->sink through the level graph, retreating on dead ends.
-            path: list[int] = []
-            u = source
-            reached = False
-            while True:
-                if u == sink:
-                    reached = True
-                    break
-                moved = False
-                while ptr[u] < len(heads[u]):
-                    eid = heads[u][ptr[u]]
-                    v = to[eid]
-                    if cap[eid] > EPS and level[v] == level[u] + 1:
-                        path.append(eid)
-                        u = v
-                        moved = True
-                        break
-                    ptr[u] += 1
-                if moved:
-                    continue
-                if u == source:
-                    break
-                path.pop()
-                u = source if not path else to[path[-1]]
-                ptr[u] += 1
-            if not reached:
-                break
-            bottleneck = min(cap[eid] for eid in path)
-            for eid in path:
-                cap[eid] -= bottleneck
-                cap[eid ^ 1] += bottleneck
-            total += bottleneck
-
-    reachable = [False] * num_nodes
-    reachable[source] = True
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for eid in heads[u]:
-            v = to[eid]
-            if cap[eid] > EPS and not reachable[v]:
-                reachable[v] = True
-                queue.append(v)
-    labels = np.fromiter((1 if reachable[i] else 0 for i in range(n)), dtype=np.int64)
-    return CutResult(labels=labels, cut_value=max(0.0, total))
-
-
-def cut_energy(graph: EnergyGraph, labels: np.ndarray) -> float:
-    """Energy of a labeling: chosen-side unary costs plus severed n-links."""
-    labels = np.asarray(labels)
-    unary = np.where(labels == 1, graph.sink_cap, graph.source_cap).sum()
-    pairwise = sum(c for u, v, c in graph.n_links if labels[u] != labels[v])
-    return float(unary + pairwise)
-
-
-def _cut_chains(
-    scores: np.ndarray,
-    video_lengths: list[int],
-    smoothness: float,
-    background_bias: float,
-) -> np.ndarray:
-    """Key-step mask of ``min_cut(build_energy_graph(...))``, in O(T) per video.
+    """Cut every video's chain exactly, in O(T) per video.
 
     Each video is a two-label Potts chain. With delta = sink_cap - source_cap
     and clip to [-smoothness, smoothness], the forward messages
@@ -325,13 +215,12 @@ def _cut_chains(
     the source side, and on a tie the minimal source side leaves it out.
     Videos run in step, padded after their end with zero costs.
     """
-    source_cap, sink_cap = _tlink_caps(scores, background_bias)
-    lengths = np.asarray(video_lengths)
+    lengths = np.asarray(graph.video_lengths)
     video = np.repeat(np.arange(len(lengths)), lengths)
-    frame = np.arange(len(scores)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    frame = np.arange(graph.node_count) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     delta = np.zeros((int(lengths.max()), len(lengths)))
-    delta[frame, video] = sink_cap - source_cap
-    lo, hi = -float(smoothness), float(smoothness)
+    delta[frame, video] = graph.sink_cap - graph.source_cap
+    lo, hi = -graph.smoothness, graph.smoothness
     fwd = np.empty_like(delta)
     fwd[0] = delta[0]
     for t in range(1, len(delta)):
@@ -344,7 +233,20 @@ def _cut_chains(
         np.maximum(bwd[t], lo, out=bwd[t])
         np.minimum(bwd[t], hi, out=bwd[t])
     fwd += bwd
-    return fwd[frame, video] < 0.0
+    labels = (fwd[frame, video] < 0.0).astype(np.int64)
+    return CutResult(labels=labels, cut_value=cut_energy(graph, labels))
+
+
+def cut_energy(graph: EnergyGraph, labels: np.ndarray) -> float:
+    """Energy of a labeling: chosen-side unary costs plus severed n-links.
+
+    Only a label change between adjacent frames of one video severs a link.
+    """
+    labels = np.asarray(labels)
+    unary = np.where(labels == 1, graph.sink_cap, graph.source_cap).sum()
+    changes = labels[1:] != labels[:-1]
+    changes[np.cumsum(graph.video_lengths)[:-1] - 1] = False
+    return float(unary + graph.smoothness * np.count_nonzero(changes))
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +370,10 @@ def localize(embeddings: dict[str, np.ndarray], config: PcmConfig) -> KeyStepAss
 
     Pipeline: cross-video correspondence scores, an exact cut of each
     video's frame chain (the minimal source side of
-    ``min_cut(build_energy_graph(...))``, found by ``_cut_chains``), k-means
-    over the foreground side. An empty foreground yields an all-background
-    assignment. An empty, non-2-D, non-finite or mis-sized embedding raises
-    ValueError naming its video, and so does K above the task's frame count.
+    ``min_cut(build_energy_graph(...))``), k-means over the foreground side.
+    An empty foreground yields an all-background assignment. An empty,
+    non-2-D, non-finite or mis-sized embedding raises ValueError naming its
+    video, and so does K above the task's frame count.
     """
     video_ids = list(embeddings)
     mats = _embedding_matrices(embeddings)
@@ -480,9 +382,10 @@ def localize(embeddings: dict[str, np.ndarray], config: PcmConfig) -> KeyStepAss
         raise ValueError(f"K={config.K} exceeds the task's {frames} frames")
     scores = correspondence_scores(mats)
     lengths = [len(s) for s in scores]
-    keystep = _cut_chains(
+    graph = build_energy_graph(
         np.concatenate(scores), lengths, config.smoothness, config.background_bias
     )
+    keystep = min_cut(graph).labels == 1
 
     flat = np.zeros(keystep.shape[0], dtype=np.int64)
     fg_idx = np.flatnonzero(keystep)

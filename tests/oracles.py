@@ -182,6 +182,43 @@ def brute_force_minimal_source_side(source_cap, sink_cap, n_links, tol=1e-12):
     return optimal.all(axis=0).astype(np.int64), optimal.shape[0] > 1
 
 
+def chain_n_links(video_lengths, smoothness):
+    """The (u, v, cap) n-links of frames concatenated video by video: one of
+    capacity ``smoothness`` per pair of adjacent frames within a video."""
+    links = []
+    offset = 0
+    for length in video_lengths:
+        for t in range(length - 1):
+            links.append((offset + t, offset + t + 1, smoothness))
+        offset += length
+    return links
+
+
+def chain_min_marginals(bg_cost, fg_cost, smoothness):
+    """Min-marginals (M0, M1) of one chain's two-label Potts energy.
+
+    M_l[t] is the least energy of any labeling that gives frame t label l
+    (0 background, 1 key-step). A forward pass holds the least energy of
+    frames 0..t, a backward pass that of frames t+1..T-1, each per label of
+    frame t; both are plain loops over absolute energies, with no clipping.
+    """
+    T = len(bg_cost)
+    unary = [(float(bg_cost[t]), float(fg_cost[t])) for t in range(T)]
+    fwd = [unary[0]]
+    for t in range(1, T):
+        prev = fwd[-1]
+        fwd.append(
+            tuple(unary[t][l] + min(prev[l], prev[1 - l] + smoothness) for l in (0, 1))
+        )
+    bwd = [(0.0, 0.0)] * T
+    for t in range(T - 2, -1, -1):
+        nxt = [unary[t + 1][m] + bwd[t + 1][m] for m in (0, 1)]
+        bwd[t] = tuple(min(nxt[l], nxt[1 - l] + smoothness) for l in (0, 1))
+    M0 = np.array([fwd[t][0] + bwd[t][0] for t in range(T)])
+    M1 = np.array([fwd[t][1] + bwd[t][1] for t in range(T)])
+    return M0, M1
+
+
 def brute_force_label_match(pred_flat, gt_flat, K):
     """Lexicographically-first permutation of {0..K} maximizing frame overlap."""
     overlap = np.zeros((K + 1, K + 1))

@@ -17,7 +17,9 @@ import pytest
 from oracles import (
     brute_force_assignment,
     brute_force_min_energy,
+    brute_force_minimal_source_side,
     central_difference,
+    chain_n_links,
     set_metrics_oracle,
     stats_oracle,
 )
@@ -96,20 +98,23 @@ def test_acceptance_2_exact_matching_and_cut():
             assert total == expected_total
             assert assignment == expected_assignment
         for _ in range(100):
+            # n frames split into random videos, each a Potts chain.
             n = int(rng.integers(1, 13))
+            bounds = rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False)
+            lengths = np.diff([0, *sorted(bounds), n]).tolist()
             source = rng.integers(0, 10, size=n).astype(np.float64)
             sink = rng.integers(0, 10, size=n).astype(np.float64)
-            links = [
-                (u, v, float(rng.integers(0, 6)))
-                for u in range(n)
-                for v in range(u + 1, n)
-                if rng.random() < 0.3
-            ]
-            graph = EnergyGraph(node_count=n, source_cap=source, sink_cap=sink, n_links=links)
+            smoothness = float(rng.integers(0, 6))
+            graph = EnergyGraph(
+                source_cap=source, sink_cap=sink, video_lengths=lengths, smoothness=smoothness
+            )
             result = min_cut(graph)
+            links = chain_n_links(lengths, smoothness)
             best = brute_force_min_energy(source, sink, links)
+            minimal, _ = brute_force_minimal_source_side(source, sink, links)
             assert cut_energy(graph, result.labels) == best
             assert result.cut_value == best
+            np.testing.assert_array_equal(result.labels, minimal)
         assert time.monotonic() - start < 30.0
 
 

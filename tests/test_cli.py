@@ -105,6 +105,16 @@ def test_flags_beat_file_beats_default(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flags, expected",
+    [(["--background_bias=-1e-3"], -1e-3), (["--background_bias", "-0.5"], -0.5)],
+)
+def test_negative_background_bias_resolves(flags, expected):
+    values, explicit = resolve_config(build_parser().parse_args(["localize", *flags]))
+    assert values["background_bias"] == expected
+    assert explicit == {"background_bias"}
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["--seed", "not-a-number"],
@@ -157,6 +167,7 @@ def test_help_documents_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "exit codes:" in out
     assert "foreground_ratio_target" in out
+    assert "--background_bias=-1e-3" in out
 
 
 # ---------------------------------------------------------------------------

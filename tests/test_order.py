@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proclearn.core import KeyStepAssignment
-from proclearn.order import KeyStepOrder, format_order, induced_sequence, keystep_order
+from proclearn.order import KeyStepOrder, format_order, keystep_order
 
 
 def _assignment(per_video, K):
@@ -87,19 +87,6 @@ def test_order_is_permutation_of_present_labels():
             continue
         order = keystep_order(_assignment(per_video, K=4))
         assert sorted(order.order) == sorted(present)
-
-
-def test_induced_sequence_collapses_runs():
-    assignment = _assignment({"a": [0, 1, 1, 0, 2, 2, 1]}, K=2)
-    assert induced_sequence(assignment, "a") == [1, 2, 1]
-
-
-def test_induced_sequence_edge_cases():
-    assignment = _assignment({"a": [0, 0], "b": [3]}, K=3)
-    assert induced_sequence(assignment, "a") == []
-    assert induced_sequence(assignment, "b") == [3]
-    with pytest.raises(KeyError):
-        induced_sequence(assignment, "missing")
 
 
 def test_format_order_golden():

@@ -9,10 +9,12 @@ import pytest
 from oracles import (
     brute_force_min_energy,
     brute_force_minimal_source_side,
+    chain_min_marginals,
+    chain_n_links,
     correspondence_scores_oracle,
 )
+from proclearn import procut
 from proclearn.procut import (
-    _cut_chains,
     _nearest_centroids,
     CutResult,
     EnergyGraph,
@@ -49,14 +51,18 @@ def _unit_videos(seed=5, count=3, T=5, E=4):
 
 
 def _random_graph(rng, n):
-    source = rng.integers(0, 9, size=n).astype(np.float64)
-    sink = rng.integers(0, 9, size=n).astype(np.float64)
-    links = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.3:
-                links.append((u, v, float(rng.integers(0, 6))))
-    return EnergyGraph(node_count=n, source_cap=source, sink_cap=sink, n_links=links)
+    """n frames split into random videos; integer caps and smoothness."""
+    bounds = rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False)
+    return EnergyGraph(
+        source_cap=rng.integers(0, 9, size=n).astype(np.float64),
+        sink_cap=rng.integers(0, 9, size=n).astype(np.float64),
+        video_lengths=np.diff([0, *sorted(bounds), n]).tolist(),
+        smoothness=float(rng.integers(0, 6)),
+    )
+
+
+def _links(graph):
+    return chain_n_links(graph.video_lengths, graph.smoothness)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +149,7 @@ def test_build_graph_single_certain_frame():
     graph = build_energy_graph(np.array([1.0]), [1], smoothness=0.5, background_bias=0.0)
     assert graph.source_cap[0] == 1.0
     assert graph.sink_cap[0] == 0.0
-    assert graph.n_links == []
+    assert graph.node_count == 1
     result = min_cut(graph)
     assert result.labels.tolist() == [1]
     assert result.cut_value == 0.0
@@ -151,7 +157,7 @@ def test_build_graph_single_certain_frame():
 
 def test_build_graph_independent_unaries():
     graph = build_energy_graph(np.array([1.0, -1.0]), [2], smoothness=0.0, background_bias=0.0)
-    assert graph.n_links == []
+    assert graph.smoothness == 0.0
     assert min_cut(graph).labels.tolist() == [1, 0]
 
 
@@ -160,14 +166,19 @@ def test_build_graph_strong_smoothing_merges_labels():
     result = min_cut(graph)
     assert result.labels[0] == result.labels[1]
     # Optimal energy over the 4 labelings: unaries are (1,0) and (0,1).
-    best = brute_force_min_energy(graph.source_cap, graph.sink_cap, graph.n_links)
+    best = brute_force_min_energy(graph.source_cap, graph.sink_cap, _links(graph))
     assert cut_energy(graph, result.labels) == pytest.approx(best, abs=1e-9)
 
 
 def test_build_graph_links_stay_within_videos():
     graph = build_energy_graph(np.zeros(5), [2, 3], smoothness=0.7, background_bias=0.0)
-    assert [(u, v) for u, v, _ in graph.n_links] == [(0, 1), (2, 3), (3, 4)]
-    assert all(c == 0.7 for _, _, c in graph.n_links)
+    assert graph.video_lengths == (2, 3)
+    assert graph.smoothness == 0.7
+    # Every frame costs 0.5 on either side; only a change inside a video
+    # severs an n-link.
+    assert cut_energy(graph, np.array([1, 1, 0, 0, 0])) == pytest.approx(2.5)
+    assert cut_energy(graph, np.array([1, 0, 0, 0, 0])) == pytest.approx(3.2)
+    assert cut_energy(graph, np.array([1, 1, 0, 1, 1])) == pytest.approx(3.2)
 
 
 def test_build_graph_shifts_negative_capacity():
@@ -186,22 +197,25 @@ def test_build_graph_validates_input():
 
 
 def test_energy_graph_invariants():
-    with pytest.raises(ValueError):
-        EnergyGraph(node_count=1, source_cap=np.array([-1.0]), sink_cap=np.array([0.0]))
-    with pytest.raises(ValueError):
-        EnergyGraph(
-            node_count=2,
-            source_cap=np.zeros(2),
-            sink_cap=np.zeros(2),
-            n_links=[(0, 0, 1.0)],
+    def graph(source=(0.0, 0.0), lengths=(2,), smoothness=0.0):
+        return EnergyGraph(
+            source_cap=np.array(source),
+            sink_cap=np.zeros(len(source)),
+            video_lengths=lengths,
+            smoothness=smoothness,
         )
-    with pytest.raises(ValueError):
-        EnergyGraph(
-            node_count=2,
-            source_cap=np.zeros(2),
-            sink_cap=np.zeros(2),
-            n_links=[(0, 2, 1.0)],
-        )
+
+    assert graph().node_count == 2
+    assert graph(lengths=np.array([1, 1])).video_lengths == (1, 1)
+    for bad in ({"source": (-1.0, 0.0)}, {"source": (np.inf, 0.0)}):
+        with pytest.raises(ValueError, match="source_cap"):
+            graph(**bad)
+    for lengths in ((), (3,), (2, 0), (1, -1, 2), (1.0, 1.0), ((1, 1),)):
+        with pytest.raises(ValueError):
+            graph(lengths=lengths)
+    for smoothness in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="smoothness"):
+            graph(smoothness=smoothness)
     with pytest.raises(ValueError):
         CutResult(labels=np.array([0]), cut_value=-1.0)
 
@@ -212,23 +226,30 @@ def test_energy_graph_invariants():
 
 
 def test_min_cut_single_node_picks_cheaper_side():
-    graph = EnergyGraph(node_count=1, source_cap=np.array([5.0]), sink_cap=np.array([1.0]))
+    graph = EnergyGraph(
+        source_cap=np.array([5.0]), sink_cap=np.array([1.0]), video_lengths=[1], smoothness=0.0
+    )
     result = min_cut(graph)
     assert result.labels.tolist() == [1]
     assert result.cut_value == pytest.approx(1.0)
 
 
 def test_min_cut_disconnected_nodes_take_per_node_minima():
+    # Three one-frame videos: the large smoothness joins nothing.
     source = np.array([3.0, 1.0, 2.0])
     sink = np.array([1.0, 4.0, 2.0])
-    result = min_cut(EnergyGraph(node_count=3, source_cap=source, sink_cap=sink))
+    result = min_cut(
+        EnergyGraph(source_cap=source, sink_cap=sink, video_lengths=[1, 1, 1], smoothness=9.0)
+    )
     assert result.cut_value == pytest.approx(np.minimum(source, sink).sum())
     assert result.labels.tolist()[0] == 1
     assert result.labels.tolist()[1] == 0
 
 
 def test_min_cut_tie_resolves_to_background():
-    graph = EnergyGraph(node_count=1, source_cap=np.array([0.5]), sink_cap=np.array([0.5]))
+    graph = EnergyGraph(
+        source_cap=np.array([0.5]), sink_cap=np.array([0.5]), video_lengths=[1], smoothness=0.0
+    )
     assert min_cut(graph).labels.tolist() == [0]
 
 
@@ -239,19 +260,23 @@ def test_min_cut_matches_exhaustive_enumeration():
         graph = _random_graph(rng, n)
         result = min_cut(graph)
         energy = cut_energy(graph, result.labels)
-        best = brute_force_min_energy(graph.source_cap, graph.sink_cap, graph.n_links)
+        best = brute_force_min_energy(graph.source_cap, graph.sink_cap, _links(graph))
+        minimal, _ = brute_force_minimal_source_side(
+            graph.source_cap, graph.sink_cap, _links(graph)
+        )
         assert energy == best
-        assert result.cut_value == pytest.approx(energy, abs=1e-9)
+        assert result.cut_value == energy
+        np.testing.assert_array_equal(result.labels, minimal)
 
 
-def test_min_cut_long_chain_is_iterative_safe():
-    # A 3000-frame chain would blow the recursion limit in a recursive DFS.
+def test_min_cut_long_chain_matches_dynamic_program():
     n = 3000
     scores = np.where(np.arange(n) % 2 == 0, 0.9, -0.9)
     graph = build_energy_graph(scores, [n], smoothness=0.1, background_bias=0.0)
     result = min_cut(graph)
-    assert result.labels.shape == (n,)
-    assert cut_energy(graph, result.labels) == pytest.approx(result.cut_value, abs=1e-9)
+    M0, M1 = chain_min_marginals(graph.source_cap, graph.sink_cap, 0.1)
+    assert result.cut_value == pytest.approx(min(M0[0], M1[0]), abs=1e-9)
+    np.testing.assert_array_equal(result.labels == 1, M1 < M0)
 
 
 def test_min_cut_deterministic():
@@ -263,7 +288,7 @@ def test_min_cut_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Chain cut used by localize
+# The chain cut of localize
 # ---------------------------------------------------------------------------
 
 
@@ -282,26 +307,30 @@ def test_chain_cut_matches_min_cut(smoothness, background_bias):
         # equal-energy labelings tie exactly.
         scores = rng.integers(-8, 9, size=n) / 8.0 if on_grid else rng.uniform(-1, 1, n)
         graph = build_energy_graph(scores, lengths, smoothness, background_bias)
-        expected = min_cut(graph).labels
-        got = _cut_chains(scores, lengths, smoothness, background_bias)
-        np.testing.assert_array_equal(got, expected == 1)
+        got = min_cut(graph).labels
         minimal, tied = brute_force_minimal_source_side(
-            graph.source_cap, graph.sink_cap, graph.n_links
+            graph.source_cap, graph.sink_cap, _links(graph)
         )
-        np.testing.assert_array_equal(got, minimal == 1)
+        np.testing.assert_array_equal(got, minimal)
+        offset = 0
+        for L in lengths:
+            sl = slice(offset, offset + L)
+            M0, M1 = chain_min_marginals(graph.source_cap[sl], graph.sink_cap[sl], smoothness)
+            np.testing.assert_array_equal(got[sl] == 1, M1 < M0)
+            offset += L
         ties += tied
     assert ties > 0
 
 
 def test_chain_cut_three_way_tie_goes_to_background():
     # Labelings (0,0), (1,0) and (1,1) all cost 1.0; no frame is key-step in all.
-    scores = np.array([0.5, -0.5])
-    assert _cut_chains(scores, [2], 0.5, 0.0).tolist() == [False, False]
-    graph = build_energy_graph(scores, [2], 0.5, 0.0)
+    graph = build_energy_graph(np.array([0.5, -0.5]), [2], 0.5, 0.0)
     assert min_cut(graph).labels.tolist() == [0, 0]
 
 
 def test_localize_foreground_is_min_cut_source_side():
+    # The foreground is exactly the frames whose key-step min-marginal, from
+    # the looped dynamic program, is below their background one.
     rng = np.random.default_rng(26)
     for trial in range(12):
         videos = {}
@@ -317,14 +346,24 @@ def test_localize_foreground_is_min_cut_source_side():
         )
         assignment = localize(videos, config)
         scores = correspondence_scores(list(videos.values()))
-        graph = build_energy_graph(
-            np.concatenate(scores),
-            [len(s) for s in scores],
-            config.smoothness,
-            config.background_bias,
-        )
-        foreground = np.concatenate(list(assignment.per_video.values())) > 0
-        np.testing.assert_array_equal(foreground, min_cut(graph).labels == 1)
+        for video_id, s in zip(videos, scores):
+            graph = build_energy_graph(s, [len(s)], config.smoothness, config.background_bias)
+            M0, M1 = chain_min_marginals(graph.source_cap, graph.sink_cap, config.smoothness)
+            np.testing.assert_array_equal(assignment.per_video[video_id] > 0, M1 < M0)
+
+
+def test_localize_cuts_through_build_energy_graph_and_min_cut(monkeypatch):
+    # The benchmark's cut spans wrap these two module attributes.
+    calls = {"build_energy_graph": 0, "min_cut": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(procut, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(procut, name, counted)
+    localize(dict(zip("abc", _unit_videos())), PcmConfig(K=2, kmeans_restarts=1))
+    assert calls == {"build_energy_graph": 1, "min_cut": 1}
 
 
 # ---------------------------------------------------------------------------
