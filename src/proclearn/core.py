@@ -9,7 +9,14 @@ File formats owned by this module (all little-endian, all float64):
   One file per video, named ``<video_id>.csv``.
 * Task manifest: first line ``task,<task_name>,<K>``, then one line per
   video: ``<video_id>,<feature_file>,<annotation_file_or_dash>``. Paths are
-  resolved relative to the manifest's directory.
+  resolved relative to the manifest's directory. Video ids are unique plain
+  file names.
+
+Each file family has one reader and one writer here, used by every module:
+``_csv_rows`` and ``_csv_text`` for CSV tables (no field may hold a comma or
+a line break; floats are written with 6 decimals), ``_binary_fields`` and
+``_write_binary`` for the f64 binary files (features here, embedder
+parameters in ``embed``).
 
 Everything here is a pure function over immutable inputs; values are safe
 to share across threads for reading.
@@ -207,10 +214,15 @@ _HEADER = struct.Struct("<4sIIId")
 
 def save_features(path: str | Path, sequence: FeatureSequence) -> None:
     """Write a feature file in the binary ``CNCF`` format."""
-    T, D = sequence.features.shape
-    header = _HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, T, D, sequence.fps)
-    payload = np.ascontiguousarray(sequence.features, dtype="<f8").tobytes()
-    Path(path).write_bytes(header + payload)
+    values = (*sequence.features.shape, sequence.fps)
+    _write_binary(path, _HEADER, FEATURE_MAGIC, FEATURE_VERSION, values, [sequence.features])
+
+
+def _write_binary(path, layout, magic, version, values, arrays) -> None:
+    """Write a ``layout`` header of magic, version and ``values``, then each
+    array's entries as little-endian f64 in row-major order."""
+    blobs = [np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in arrays]
+    Path(path).write_bytes(layout.pack(magic, version, *values) + b"".join(blobs))
 
 
 def _binary_fields(path, head, size, layout, magic, version, floats: Callable[..., int]):
@@ -305,6 +317,21 @@ def _csv_rows(path: Path, header: str, types: tuple[Callable[[str], object], ...
     return head, rows
 
 
+def _csv_text(rows) -> str:
+    """CSV text with one line per row: floats with 6 decimals, anything else by ``str``.
+
+    A field holding a comma or a line break (anything ``str.splitlines`` splits
+    on), which ``_csv_rows`` could not read back, raises ValueError naming its row."""
+    lines = []
+    for row in rows:
+        fields = [f"{value:.6f}" if isinstance(value, float) else str(value) for value in row]
+        line = ",".join(fields)
+        if line.count(",") != len(fields) - 1 or (line + "\n").splitlines() != [line]:
+            raise ValueError(f"CSV row {row!r}: a field holds a comma or a line break")
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Annotation files
 # ---------------------------------------------------------------------------
@@ -351,9 +378,9 @@ def _check_segments(
 
 
 def save_annotation_file(path: str | Path, segments: list[KeyStepSegment]) -> None:
-    lines = [ANNOTATION_HEADER]
-    lines.extend(f"{seg.start_s!r},{seg.end_s!r},{seg.label_id}" for seg in segments)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write segments as CSV; times are written exactly, by ``repr``."""
+    rows = [(repr(seg.start_s), repr(seg.end_s), seg.label_id) for seg in segments]
+    Path(path).write_text(_csv_text([ANNOTATION_HEADER.split(","), *rows]), encoding="utf-8")
 
 
 def segments_to_frame_labels(
@@ -447,6 +474,9 @@ class TaskManifest:
 
 
 def load_manifest(path: str | Path) -> TaskManifest:
+    """Read a manifest. Video ids name files (``assignments/<id>.csv``), so each
+    must be a unique plain file name: not empty, ``.`` or ``..``, and holding
+    no path separator."""
     path = Path(path)
     base = path.parent
     head, rows = _csv_rows(path, "task,<task_name>,<K>", (str, str, str))
@@ -456,14 +486,17 @@ def load_manifest(path: str | Path) -> TaskManifest:
         raise FileFormatError(f"{path}: K must be an integer, got {head[2]!r}") from None
     if K < 1:
         raise FileFormatError(f"{path}: K must be >= 1, got {K}")
-    entries = [
-        ManifestEntry(
-            video_id=video_id,
-            feature_path=base / feature_file,
-            annotation_path=None if annotation_file == "-" else base / annotation_file,
-        )
-        for _, (video_id, feature_file, annotation_file) in rows
-    ]
+    entries, first_line = [], {}
+    separators = {"/", os.sep, os.altsep} - {None}
+    for lineno, (video_id, feature_file, annotation_file) in rows:
+        if video_id in ("", ".", "..") or any(sep in video_id for sep in separators):
+            raise FileFormatError(f"{path}:{lineno}: video id {video_id!r} is not a file name")
+        if video_id in first_line:
+            where = f"{path}:{lineno}: video id {video_id!r}"
+            raise FileFormatError(f"{where} repeats line {first_line[video_id]}")
+        first_line[video_id] = lineno
+        annotation_path = None if annotation_file == "-" else base / annotation_file
+        entries.append(ManifestEntry(video_id, base / feature_file, annotation_path))
     if not entries:
         raise FileFormatError(f"{path}: manifest lists no videos")
     return TaskManifest(task_name=head[1], K=K, entries=entries)
@@ -478,18 +511,12 @@ def save_manifest(path: str | Path, manifest: TaskManifest) -> None:
     """
     path = Path(path)
     base = path.parent
-    lines = [f"task,{manifest.task_name},{manifest.K}"]
+    rows = [("task", manifest.task_name, manifest.K)]
     for entry in manifest.entries:
-        feature = _relative_to(entry.feature_path, base)
-        if entry.annotation_path is None:
-            annotation = "-"
-        else:
-            annotation = _relative_to(entry.annotation_path, base)
-        lines.append(f"{entry.video_id},{feature},{annotation}")
-    for line in lines:
-        if line.count(",") != 2 or len(line.splitlines()) != 1:
-            raise ValueError(f"manifest line {line!r} must hold exactly 3 fields")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        annotation = entry.annotation_path
+        annotation = "-" if annotation is None else _relative_to(annotation, base)
+        rows.append((entry.video_id, _relative_to(entry.feature_path, base), annotation))
+    path.write_text(_csv_text(rows), encoding="utf-8")
 
 
 def _relative_to(target: Path, base: Path) -> str:
@@ -508,9 +535,8 @@ ASSIGNMENT_HEADER = "frame,label"
 
 
 def save_assignment_file(path: str | Path, labels: np.ndarray) -> None:
-    lines = [ASSIGNMENT_HEADER]
-    lines.extend(f"{i},{int(label)}" for i, label in enumerate(labels))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(i, int(label)) for i, label in enumerate(labels)]
+    Path(path).write_text(_csv_text([ASSIGNMENT_HEADER.split(","), *rows]), encoding="utf-8")
 
 
 def load_assignment_file(path: str | Path) -> np.ndarray:

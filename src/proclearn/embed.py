@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import FeatureSequence, _binary_fields, setting
+from .core import FeatureSequence, _binary_fields, _csv_text, _write_binary, setting
 
 PARAMS_MAGIC = b"CNCP"
 PARAMS_VERSION = 1
@@ -191,14 +191,14 @@ def _backward(params: EmbedderParams, cache, grad_embedded: np.ndarray):
 def embed_sequence(params: EmbedderParams, sequence: FeatureSequence) -> np.ndarray:
     """Embed every frame; rows come back unit-L2-normalized.
 
-    Raises ValueError when the feature dimension disagrees with the
-    parameters, and ValueError naming the video and frame when a row's norm
-    is zero or not finite: these parameters cannot embed this video.
+    Raises ValueError naming the video when the feature dimension disagrees
+    with the parameters, or, with the frame, when a row's norm is zero or not
+    finite: these parameters cannot embed this video.
     """
     if sequence.feature_dim != params.input_dim:
         raise ValueError(
-            f"feature dim {sequence.feature_dim} does not match "
-            f"embedder input dim {params.input_dim}"
+            f"video {sequence.video_id!r}: feature dim {sequence.feature_dim} does not "
+            f"match embedder input dim {params.input_dim}"
         )
     try:
         embedded, _ = _forward(params, sequence.features)
@@ -509,18 +509,9 @@ _PARAMS_HEADER = struct.Struct("<4sIIII")
 
 def save_params(path: str | Path, params: EmbedderParams) -> None:
     """Write parameters: magic, version, dims, then W1, b1, W2, b2 as f64."""
-    header = _PARAMS_HEADER.pack(
-        PARAMS_MAGIC,
-        PARAMS_VERSION,
-        params.input_dim,
-        params.hidden_dim,
-        params.embed_dim,
-    )
-    blobs = [
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for arr in (params.W1, params.b1, params.W2, params.b2)
-    ]
-    Path(path).write_bytes(header + b"".join(blobs))
+    dims = (params.input_dim, params.hidden_dim, params.embed_dim)
+    arrays = (params.W1, params.b1, params.W2, params.b2)
+    _write_binary(path, _PARAMS_HEADER, PARAMS_MAGIC, PARAMS_VERSION, dims, arrays)
 
 
 def load_params(path: str | Path) -> EmbedderParams:
@@ -537,6 +528,4 @@ def load_params(path: str | Path) -> EmbedderParams:
 
 def format_loss_trace(trace: list[float]) -> str:
     """Render the training trace as ``step,loss`` CSV with 6 decimals."""
-    lines = ["step,loss"]
-    lines.extend(f"{step},{value:.6f}" for step, value in enumerate(trace))
-    return "\n".join(lines) + "\n"
+    return _csv_text([("step", "loss"), *enumerate(trace)])

@@ -21,11 +21,11 @@ when the other set is empty too, otherwise 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import AnnotationError, KeyStepAssignment, TaskAnnotation
+from .core import AnnotationError, KeyStepAssignment, TaskAnnotation, _csv_text
 
 __all__ = [
     "StepScores",
@@ -322,22 +322,12 @@ def dataset_stats(annotation: TaskAnnotation) -> DatasetStats:
 
 def format_report(report: MetricsReport) -> str:
     """CSV: one per_keystep row per label ascending, then alphabetical summaries."""
-    lines = []
-    for label in sorted(report.per_keystep):
-        s = report.per_keystep[label]
-        lines.append(
-            f"per_keystep,{label},{s.precision:.6f},{s.recall:.6f},{s.f1:.6f},{s.iou:.6f}"
-        )
-    for name in _SUMMARY_FIELDS:
-        lines.append(f"summary,{name},{getattr(report, name):.6f}")
-    return "\n".join(lines) + "\n"
+    keysteps = sorted(report.per_keystep.items())
+    rows = [("per_keystep", label, s.precision, s.recall, s.f1, s.iou) for label, s in keysteps]
+    rows.extend(("summary", name, getattr(report, name)) for name in _SUMMARY_FIELDS)
+    return _csv_text(rows)
 
 
 def format_stats(stats: DatasetStats) -> str:
     """CSV of the three dataset statistics, 6 decimal places."""
-    return (
-        "stat,value\n"
-        f"foreground_ratio,{stats.foreground_ratio:.6f}\n"
-        f"missing_keysteps,{stats.missing_keysteps:.6f}\n"
-        f"repeated_keysteps,{stats.repeated_keysteps:.6f}\n"
-    )
+    return _csv_text([("stat", "value"), *asdict(stats).items()])

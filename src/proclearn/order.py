@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KeyStepAssignment
+from .core import KeyStepAssignment, _csv_text
 
 __all__ = ["KeyStepOrder", "keystep_order", "format_order"]
 
@@ -60,4 +60,4 @@ def keystep_order(assignment: KeyStepAssignment) -> KeyStepOrder:
 
 def format_order(order: KeyStepOrder) -> str:
     """Render as the single CSV line ``order,l1,l2,...``."""
-    return ",".join(["order"] + [str(label) for label in order.order]) + "\n"
+    return _csv_text([("order", *order.order)])

@@ -2,8 +2,10 @@
 
 Frames that correspond strongly across videos of the same task are key-step
 candidates; frames that match nothing elsewhere are background. This module
-turns per-frame correspondence scores into t-link costs, cuts each video's
-chain of frames exactly, and clusters the foreground side into K key-steps.
+turns per-frame correspondence scores into t-link costs and cuts each video's
+chain of frames exactly into a key-step mask. One labeling step,
+``_label_frames``, turns a mask into labels: 0 outside it, and 1..K inside it
+from ``cluster_foreground``. ``baseline_cluster_all`` is that step on every frame.
 
 Graph convention: the source terminal is the key-step side. ``source_cap[i]``
 is the cost of labeling frame i background (it is paid when the cut severs
@@ -327,17 +329,6 @@ def _kmeans_once(
     return labels, centroids, inertia
 
 
-def _kmeans(points: np.ndarray, K: int, restarts: int, rng: np.random.Generator):
-    points_t = np.ascontiguousarray(points.T)
-    sq_norms = np.einsum("ij,ij->i", points, points)
-    best = None
-    for _ in range(restarts):
-        labels, centroids, inertia = _kmeans_once(points, points_t, sq_norms, K, rng)
-        if best is None or inertia < best[2]:
-            best = (labels, centroids, inertia)
-    return best
-
-
 def cluster_foreground(
     points: np.ndarray, K: int, kmeans_restarts: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -356,7 +347,10 @@ def cluster_foreground(
     if n < K:
         return np.arange(1, n + 1, dtype=np.int64), points.copy()
     rng = np.random.default_rng(seed)
-    labels, centroids, _ = _kmeans(points, K, kmeans_restarts, rng)
+    points_t = np.ascontiguousarray(points.T)
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    runs = (_kmeans_once(points, points_t, sq_norms, K, rng) for _ in range(kmeans_restarts))
+    labels, centroids, _ = min(runs, key=lambda run: run[2])
     return labels + 1, centroids
 
 
@@ -370,12 +364,12 @@ def localize(embeddings: dict[str, np.ndarray], config: PcmConfig) -> KeyStepAss
 
     Pipeline: cross-video correspondence scores, an exact cut of each
     video's frame chain (the minimal source side of
-    ``min_cut(build_energy_graph(...))``), k-means over the foreground side.
+    ``min_cut(build_energy_graph(...))``), then ``_label_frames`` on the
+    key-step side of the cut.
     An empty foreground yields an all-background assignment. An empty,
     non-2-D, non-finite or mis-sized embedding raises ValueError naming its
     video, and so does K above the task's frame count.
     """
-    video_ids = list(embeddings)
     mats = _embedding_matrices(embeddings)
     frames = sum(len(m) for m in mats)
     if config.K > frames:
@@ -386,22 +380,18 @@ def localize(embeddings: dict[str, np.ndarray], config: PcmConfig) -> KeyStepAss
         np.concatenate(scores), lengths, config.smoothness, config.background_bias
     )
     keystep = min_cut(graph).labels == 1
+    return _label_frames(embeddings, mats, keystep, config.K, config.kmeans_restarts, config.seed)
 
+
+def _label_frames(embeddings, mats, keystep, K, kmeans_restarts, seed) -> KeyStepAssignment:
+    """Frames outside the ``keystep`` mask get 0, ``cluster_foreground`` labels
+    those inside 1..K, and the labels go back to the videos of ``embeddings``."""
     flat = np.zeros(keystep.shape[0], dtype=np.int64)
-    fg_idx = np.flatnonzero(keystep)
-    if fg_idx.size > 0:
-        cluster_labels, _ = cluster_foreground(
-            np.concatenate(mats)[fg_idx], config.K, config.kmeans_restarts, config.seed
-        )
-        flat[fg_idx] = cluster_labels
-    return KeyStepAssignment(per_video=_split_by_video(flat, video_ids, lengths), K=config.K)
-
-
-def _split_by_video(
-    flat: np.ndarray, video_ids: list[str], lengths: list[int]
-) -> dict[str, np.ndarray]:
-    """Cut labels of concatenated videos back into one array per video."""
-    return dict(zip(video_ids, np.split(flat, np.cumsum(lengths)[:-1])))
+    fg = np.flatnonzero(keystep)
+    if fg.size > 0:
+        flat[fg], _ = cluster_foreground(np.concatenate(mats)[fg], K, kmeans_restarts, seed)
+    ends = np.cumsum([len(m) for m in mats])[:-1]
+    return KeyStepAssignment(per_video=dict(zip(embeddings, np.split(flat, ends))), K=K)
 
 
 def baseline_random(
@@ -426,12 +416,11 @@ def baseline_cluster_all(
 ) -> KeyStepAssignment:
     """k-means over every frame of every video; no background separation.
 
+    This is ``localize``'s labeling step with every frame in the mask.
     Embeddings are checked as in ``localize``; errors name the video.
     """
     if len(embeddings) < 1:
         raise ValueError("need at least one video")
-    video_ids = list(embeddings)
     mats = _embedding_matrices(embeddings)
-    flat, _ = cluster_foreground(np.concatenate(mats), K, kmeans_restarts, seed)
-    lengths = [m.shape[0] for m in mats]
-    return KeyStepAssignment(per_video=_split_by_video(flat, video_ids, lengths), K=K)
+    every_frame = np.ones(sum(len(m) for m in mats), dtype=bool)
+    return _label_frames(embeddings, mats, every_frame, K, kmeans_restarts, seed)

@@ -21,6 +21,7 @@ from .core import (
     KeyStepAssignment,
     KeyStepSegment,
     TaskAnnotation,
+    _csv_text,
     annotation_to_assignment,
     setting,
 )
@@ -211,9 +212,6 @@ def run_benchmark(
 
 def format_benchmark(results: dict[str, MetricsReport]) -> str:
     """One CSV row per method carrying the summary metric columns."""
-    lines = ["method," + ",".join(_SUMMARY_FIELDS)]
-    for method in results:
-        report = results[method]
-        values = ",".join(f"{getattr(report, name):.6f}" for name in _SUMMARY_FIELDS)
-        lines.append(f"{method},{values}")
-    return "\n".join(lines) + "\n"
+    rows = [("method", *_SUMMARY_FIELDS)]
+    rows.extend((m, *(getattr(r, name) for name in _SUMMARY_FIELDS)) for m, r in results.items())
+    return _csv_text(rows)

@@ -407,6 +407,46 @@ def test_run_all_rejects_a_task_name_the_manifest_cannot_store(tmp_path):
     assert not (out / "manifest.csv").exists()
 
 
+def _rename_manifest_row(manifest: Path, row: int, video_id: str) -> None:
+    lines = manifest.read_text().splitlines()
+    lines[row] = f"{video_id},{lines[row].split(',', 1)[1]}"
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+def test_a_manifest_id_leading_out_of_out_exits_4_and_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = Path("trav") / "run"
+    for command in ("synth", "train"):
+        assert _run(command, out) == 0
+    _rename_manifest_row(out / "manifest.csv", 1, "../../escaped")
+    assert _run("localize", out) == 4
+    assert [p.name for p in Path("trav").iterdir()] == ["run"]
+    assert not (out / "assignments").exists()
+
+
+def test_a_repeated_manifest_id_exits_4_naming_both_lines(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("synth", out) == 0
+    _rename_manifest_row(out / "manifest.csv", 2, "video_00")
+    capsys.readouterr()
+    for command in ("train", "localize"):
+        assert _run(command, out) == 4
+        assert "manifest.csv:3: video id 'video_00' repeats line 2" in capsys.readouterr().err
+    assert not (out / "params.cncp").exists()
+
+
+def test_localize_names_the_video_whose_feature_width_differs(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("synth", out) == 0
+    assert _run("train", out) == 0
+    assert _run("synth", out, "--feature_dim", "8") == 0
+    capsys.readouterr()
+    assert _run("localize", out) == 5
+    err = capsys.readouterr().err
+    assert "video 'video_00': feature dim 8" in err
+    assert not (out / "assignments").exists()
+
+
 def test_train_names_a_one_frame_video_and_exits_5(tmp_path, capsys):
     out = tmp_path / "out"
     assert _run("synth", out) == 0

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proclearn
+from proclearn import core
 from proclearn.core import (
     AnnotationError,
     FeatureSequence,
@@ -29,6 +34,8 @@ from proclearn.core import (
     save_features,
     save_manifest,
     segments_to_frame_labels,
+    _csv_rows,
+    _csv_text,
 )
 
 
@@ -352,6 +359,29 @@ def test_manifest_format_errors(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("video_id", ["", ".", "..", "../../escaped", "a/b", "/abs"])
+def test_manifest_rejects_a_video_id_that_is_not_a_plain_file_name(tmp_path, video_id):
+    path = tmp_path / "manifest.csv"
+    path.write_text(f"task,demo,2\nva,a.feat,-\n{video_id},b.feat,-\n")
+    with pytest.raises(FileFormatError, match=r"manifest.csv:3: video id .* is not a file name"):
+        load_manifest(path)
+
+
+def test_manifest_rejects_a_video_id_holding_the_alternative_separator(tmp_path, monkeypatch):
+    path = tmp_path / "manifest.csv"
+    path.write_text("task,demo,2\na\\b,a.feat,-\n")
+    monkeypatch.setattr(core.os, "altsep", "\\")  # as on Windows
+    with pytest.raises(FileFormatError, match=r"manifest.csv:2: video id"):
+        load_manifest(path)
+
+
+def test_manifest_rejects_a_repeated_video_id_naming_its_first_line(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text("task,demo,2\nva,a.feat,-\n\nvb,b.feat,-\nva,c.feat,-\n")
+    with pytest.raises(FileFormatError, match=r"manifest.csv:5: video id 'va' repeats line 2$"):
+        load_manifest(path)
+
+
 # ---------------------------------------------------------------------------
 # Assignment files
 # ---------------------------------------------------------------------------
@@ -395,6 +425,54 @@ def test_csv_readers_share_the_header_and_row_rules(tmp_path):
         path.write_text(f"{row}\n")
         with pytest.raises(FileFormatError, match="header"):
             read(path)
+
+
+# Fields _csv_rows reads back as written. It strips each line, so a string
+# field drawn here also has no whitespace at either end.
+_CSV_FIELDS = {
+    str: st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(
+        lambda s: "," not in s and (s + "\n").splitlines() == [s] and s == s.strip()
+    ),
+    int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+}
+
+_CSV_TABLES = st.lists(st.sampled_from(list(_CSV_FIELDS)), min_size=1, max_size=4).flatmap(
+    lambda types: st.tuples(
+        st.just(tuple(types)),
+        st.lists(st.tuples(*(_CSV_FIELDS[t] for t in types)), max_size=5),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CSV_TABLES)
+def test_csv_text_round_trips_through_csv_rows(tmp_path_factory, table):
+    types, rows = table
+    header = tuple(f"c{i}" for i in range(len(types)))
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    path.write_text(_csv_text([header, *rows]), encoding="utf-8")
+    head, read = _csv_rows(path, ",".join(header), types)
+    assert head == list(header)
+    expected = [
+        [float(f"{value:.6f}") if isinstance(value, float) else value for value in row]
+        for row in rows
+    ]
+    assert [values for _, values in read] == expected
+    assert [lineno for lineno, _ in read] == list(range(2, len(rows) + 2))
+
+
+@pytest.mark.parametrize("bad", [",", "\n", "\r", "\u2028"], ids=["comma", "lf", "cr", "u2028"])
+@pytest.mark.parametrize("template", ["a{}b", "ab{}"])
+def test_csv_text_rejects_a_field_with_a_comma_or_line_break(bad, template):
+    row = ("video", template.format(bad), 3)
+    with pytest.raises(ValueError, match=re.escape(repr(row))):
+        _csv_text([("id", "path", "n"), row])
+
+
+def test_csv_text_writes_floats_with_6_decimals_and_the_rest_by_str():
+    text = _csv_text([("a", 1, 0.5, np.float64(1 / 3), np.int64(7), "2.5")])
+    assert text == "a,1,0.500000,0.333333,7,2.5\n"
 
 
 def test_assignment_file_errors(tmp_path):

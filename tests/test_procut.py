@@ -525,6 +525,21 @@ def test_localize_background_bias_is_monotone():
         previous = background
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_localize_keeping_every_frame_labels_as_cluster_all(seed):
+    # With background_bias -2 every frame's key-step cost -1 - c lies below
+    # its background cost c, and smoothness 0 couples nothing, so the cut
+    # keeps every frame and labeling matches clustering all of them.
+    videos = dict(zip("abc", _unit_videos(seed=seed, T=12)))
+    config = PcmConfig(K=3, smoothness=0.0, background_bias=-2.0, kmeans_restarts=3, seed=seed)
+    cnc = localize(videos, config)
+    everything = baseline_cluster_all(videos, config.K, config.seed, config.kmeans_restarts)
+    assert list(cnc.per_video) == list(everything.per_video) == list(videos)
+    for video_id in videos:
+        assert cnc.per_video[video_id].min() >= 1
+        np.testing.assert_array_equal(cnc.per_video[video_id], everything.per_video[video_id])
+
+
 # ---------------------------------------------------------------------------
 # Baselines
 # ---------------------------------------------------------------------------
