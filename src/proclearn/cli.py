@@ -10,25 +10,24 @@ file beats defaults. Five keys are run-wide (out, manifest, seed, task_name,
 k); every other key is a field of SynthSpec, TrainConfig or PcmConfig
 declared with ``core.setting``, which gives its name, default and help, and
 its default's type (int or float) gives its parser, so a new field of those
-configs is a key with no edit here. Outputs are written atomically (temp file
-then rename), and a fixed seed makes every command byte-reproducible.
+configs is a key with no edit here. Every output is written atomically by
+core's one file writer, and a fixed seed makes every command
+byte-reproducible. run-all builds every stage's config before it writes a
+file, so a bad setting fails first.
 
 Stage seeding: generation uses the seed as given, training uses seed + 1,
 and localization (cut clustering and baselines) uses seed + 2, so stages
 draw from unrelated streams.
 
-Exit codes: 0 success; 2 usage or config error; 3 missing file; 4 malformed
-file; 5 invalid value or domain error; 6 numeric failure; 1 unexpected
-error.
+Exit codes: 0 success; each failure's code, stderr prefix and --help line
+come from the one table ``_FAILURES``.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-import tempfile
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -43,13 +42,14 @@ from .core import (
     ManifestEntry,
     TaskAnnotation,
     TaskManifest,
+    _write_file,
     annotation_to_assignment,
+    format_manifest,
     load_assignment_file,
     load_manifest,
     save_annotation_file,
     save_assignment_file,
     save_features,
-    save_manifest,
 )
 from .embed import (
     EmbedderParams,
@@ -66,14 +66,6 @@ from .procut import PcmConfig, localize
 from .synthbench import SynthSpec, compare_methods, format_benchmark, generate
 
 __all__ = ["main", "run"]
-
-EXIT_OK = 0
-EXIT_UNEXPECTED = 1
-EXIT_USAGE = 2
-EXIT_MISSING_FILE = 3
-EXIT_BAD_FORMAT = 4
-EXIT_INVALID = 5
-EXIT_NUMERIC = 6
 
 
 class ConfigError(Exception):
@@ -189,26 +181,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict[str, object], set[str
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
+# Stage products
 # ---------------------------------------------------------------------------
-
-
-def _atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
-    """Write through a temp file in the target directory, then rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    os.close(fd)
-    tmp = Path(tmp_name)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _atomic_text(path: Path, content: str) -> None:
-    _atomic_write(path, lambda tmp: tmp.write_text(content))
 
 
 def _stage_config(cls, cfg: dict[str, object], **given):
@@ -216,10 +190,6 @@ def _stage_config(cls, cfg: dict[str, object], **given):
     configuration key of the same name."""
     taken = {field.name: cfg[field.name] for field in fields(cls) if field.name not in given}
     return cls(**taken, **given)
-
-
-def _pcm_config(cfg: dict[str, object], K: int) -> PcmConfig:
-    return _stage_config(PcmConfig, cfg, K=K, seed=int(cfg["seed"]) + 2)
 
 
 class _Run:
@@ -234,6 +204,17 @@ class _Run:
         self.cfg, self.explicit = cfg, explicit
         self.out = Path(str(cfg["out"]))
         self.manifest_path = Path(str(cfg["manifest"]) or self.out / "manifest.csv")
+
+    @cached_property
+    def synth_spec(self) -> SynthSpec:
+        return _stage_config(SynthSpec, self.cfg, K=self.cfg["k"])
+
+    @cached_property
+    def train_config(self) -> TrainConfig:
+        return _stage_config(TrainConfig, self.cfg, seed=int(self.cfg["seed"]) + 1)
+
+    def pcm_config(self, K: int) -> PcmConfig:
+        return _stage_config(PcmConfig, self.cfg, K=K, seed=int(self.cfg["seed"]) + 2)
 
     @cached_property
     def manifest(self) -> TaskManifest:
@@ -292,63 +273,59 @@ def _resolved_k(run: _Run) -> int:
 
 
 def cmd_synth(run: _Run) -> None:
-    spec = _stage_config(SynthSpec, run.cfg, K=run.cfg["k"])
+    spec = run.synth_spec
     sequences, annotation = generate(spec, task_name=str(run.cfg["task_name"]))
-    entries = []
-    for seq in sequences:
-        feature_path = run.out / "features" / f"{seq.video_id}.feat"
-        annotation_path = run.out / "annotations" / f"{seq.video_id}.csv"
-        _atomic_write(feature_path, lambda tmp, s=seq: save_features(tmp, s))
-        _atomic_write(
-            annotation_path,
-            lambda tmp, segs=annotation.per_video[seq.video_id]: save_annotation_file(tmp, segs),
+    entries = [
+        ManifestEntry(
+            video_id=seq.video_id,
+            feature_path=run.out / "features" / f"{seq.video_id}.feat",
+            annotation_path=run.out / "annotations" / f"{seq.video_id}.csv",
         )
-        entries.append(
-            ManifestEntry(
-                video_id=seq.video_id,
-                feature_path=feature_path,
-                annotation_path=annotation_path,
-            )
-        )
+        for seq in sequences
+    ]
     manifest = TaskManifest(task_name=annotation.task_name, K=spec.K, entries=entries)
-    # The temp file shares the manifest's directory, so relative paths match.
-    _atomic_write(run.manifest_path, lambda tmp: save_manifest(tmp, manifest))
+    text = format_manifest(run.manifest_path, manifest)  # fails before any file is written
+    for seq, entry in zip(sequences, entries):
+        save_features(entry.feature_path, seq)
+        save_annotation_file(entry.annotation_path, annotation.per_video[seq.video_id])
+    _write_file(run.manifest_path, text)
     run.manifest, run.sequences, run.annotation = manifest, sequences, annotation
     counts = {seq.video_id: seq.num_frames for seq in sequences}
     run.gt = annotation_to_assignment(annotation, counts, {s.video_id: s.fps for s in sequences})
 
 
 def cmd_train(run: _Run) -> None:
-    config = _stage_config(TrainConfig, run.cfg, seed=int(run.cfg["seed"]) + 1)
-    result = train_embedder(run.sequences, config)
-    _atomic_write(run.out / "params.cncp", lambda tmp: save_params(tmp, result.params))
-    _atomic_text(run.out / "loss_trace.csv", format_loss_trace(result.loss_trace))
+    result = train_embedder(run.sequences, run.train_config)
+    save_params(run.out / "params.cncp", result.params)
+    _write_file(run.out / "loss_trace.csv", format_loss_trace(result.loss_trace))
     run.params = result.params
 
 
 def cmd_localize(run: _Run) -> None:
-    assignment = localize(run.embeddings, _pcm_config(run.cfg, _resolved_k(run)))
+    assignment = localize(run.embeddings, run.pcm_config(_resolved_k(run)))
     for video_id, labels in assignment.per_video.items():
-        path = run.labels_path(video_id)
-        _atomic_write(path, lambda tmp, lab=labels: save_assignment_file(tmp, lab))
+        save_assignment_file(run.labels_path(video_id), labels)
     run.labels = assignment.per_video
 
 
 def cmd_order(run: _Run) -> None:
     ordering = keystep_order(run.assignment(_resolved_k(run)))
-    _atomic_text(run.out / "order.csv", format_order(ordering))
+    _write_file(run.out / "order.csv", format_order(ordering))
 
 
 def cmd_evaluate(run: _Run) -> None:
     gt = run.gt
-    _atomic_text(run.out / "metrics.csv", format_report(full_report(run.assignment(gt.K), gt)))
+    _write_file(run.out / "metrics.csv", format_report(full_report(run.assignment(gt.K), gt)))
 
 
 def cmd_stats(run: _Run) -> None:
-    _atomic_text(run.out / "stats.csv", format_stats(dataset_stats(run.annotation)))
+    _write_file(run.out / "stats.csv", format_stats(dataset_stats(run.annotation)))
 
 
 def cmd_run_all(run: _Run) -> None:
+    # Every stage's settings fail here, before a file is written or a step
+    # trained; localization clusters into the generated task's K.
+    _, _, pcm = run.synth_spec, run.train_config, run.pcm_config(run.synth_spec.K)
     cmd_synth(run)
     cmd_train(run)
     cmd_localize(run)
@@ -356,8 +333,8 @@ def cmd_run_all(run: _Run) -> None:
     cmd_evaluate(run)
     cmd_stats(run)
     gt = run.gt
-    results = compare_methods(run.embeddings, gt, _pcm_config(run.cfg, gt.K), run.assignment(gt.K))
-    _atomic_text(run.out / "benchmark.csv", format_benchmark(results))
+    results = compare_methods(run.embeddings, gt, pcm, run.assignment(gt.K))
+    _write_file(run.out / "benchmark.csv", format_benchmark(results))
 
 
 _COMMANDS = {
@@ -370,16 +347,21 @@ _COMMANDS = {
     "run-all": (cmd_run_all, "full pipeline plus benchmark table"),
 }
 
-_EPILOG = """\
-exit codes:
-  0  success
-  1  unexpected error
-  2  usage or configuration error (unknown key, bad value syntax)
-  3  missing input file
-  4  malformed input file
-  5  invalid value or domain error
-  6  numeric failure
+# (exception types, exit code, stderr prefix, --help text); main takes the
+# first row that matches, so a subclass comes before its base.
+_FAILURES: tuple[tuple[tuple[type[Exception], ...], int, str, str], ...] = (
+    ((ConfigError,), 2, "config error",
+     "usage or configuration error (unknown key, bad value syntax)"),
+    ((FileNotFoundError,), 3, "missing file", "missing input file"),
+    ((FileFormatError,), 4, "bad file format", "malformed input file"),
+    ((FloatingPointError,), 6, "numeric failure", "numeric failure"),
+    ((ValueError, KeyError), 5, "invalid input", "invalid value or domain error"),
+    ((Exception,), 1, "unexpected error", "unexpected error"),
+)
 
+_EPILOG = "exit codes:\n  0  success\n" + "".join(
+    f"  {code}  {text}\n" for _, code, _, text in sorted(_FAILURES, key=lambda row: row[1])
+) + """
 configuration keys (file "key = value" lines or flags of the same name):
 """ + "\n".join(
     f"  {spec.name:<25} default {spec.default!r}: {spec.help}" for spec in KEY_SPECS
@@ -417,26 +399,12 @@ def run(argv: list[str] | None = None) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         run(argv)
-    except ConfigError as exc:
-        print(f"proclearn: config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        name = exc.filename if exc.filename else exc
-        print(f"proclearn: missing file: {name}", file=sys.stderr)
-        return EXIT_MISSING_FILE
-    except FileFormatError as exc:
-        print(f"proclearn: bad file format: {exc}", file=sys.stderr)
-        return EXIT_BAD_FORMAT
-    except FloatingPointError as exc:
-        print(f"proclearn: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValueError, KeyError) as exc:
-        print(f"proclearn: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except Exception as exc:  # pragma: no cover - catch-all contract
-        print(f"proclearn: unexpected error: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
-    return EXIT_OK
+    except Exception as exc:
+        _, code, prefix, _ = next(row for row in _FAILURES if isinstance(exc, row[0]))
+        detail = exc.filename if isinstance(exc, FileNotFoundError) and exc.filename else exc
+        print(f"proclearn: {prefix}: {detail}", file=sys.stderr)
+        return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,10 +13,11 @@ File formats owned by this module (all little-endian, all float64):
   file names.
 
 Each file family has one reader and one writer here, used by every module:
-``_csv_rows`` and ``_csv_text`` for CSV tables (no field may hold a comma or
-a line break; floats are written with 6 decimals), ``_binary_fields`` and
-``_write_binary`` for the f64 binary files (features here, embedder
-parameters in ``embed``).
+``_csv_rows`` and ``_csv_text`` for CSV tables, which split lines by one rule,
+``_fields``, so a row is written only if it reads back unchanged (floats with
+6 decimals); ``_binary_fields`` and ``_write_binary`` for the f64 binary files
+(features here, embedder parameters in ``embed``). Every writer ends in the
+atomic ``_write_file`` (a temp file in the target's directory, then a rename).
 
 Everything here is a pure function over immutable inputs; values are safe
 to share across threads for reading.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -54,6 +56,7 @@ __all__ = [
     "segments_to_frame_labels",
     "load_manifest",
     "save_manifest",
+    "format_manifest",
     "load_assignment_file",
     "save_assignment_file",
 ]
@@ -77,6 +80,21 @@ def setting(default, help: str):
     return field(default=default, metadata={"help": help})
 
 
+def _write_file(path: str | Path, data: str | bytes) -> None:
+    """Write ``data`` (text as UTF-8) through a ``.<name>.*`` temp file in the target's
+    directory, made if missing, renamed over the target; a failure leaves the target."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 @dataclass(frozen=True)
 class FeatureSequence:
     """One video's per-frame feature matrix (T x D float64) plus frame rate."""
@@ -93,8 +111,8 @@ class FeatureSequence:
             )
         if not np.isfinite(feats).all():
             raise ValueError(f"non-finite feature entry in video {self.video_id!r}")
-        if not (self.fps > 0):
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not (0 < self.fps < np.inf):
+            raise ValueError(f"fps must be positive and finite, got {self.fps}")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "fps", float(self.fps))
 
@@ -222,7 +240,7 @@ def _write_binary(path, layout, magic, version, values, arrays) -> None:
     """Write a ``layout`` header of magic, version and ``values``, then each
     array's entries as little-endian f64 in row-major order."""
     blobs = [np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in arrays]
-    Path(path).write_bytes(layout.pack(magic, version, *values) + b"".join(blobs))
+    _write_file(path, layout.pack(magic, version, *values) + b"".join(blobs))
 
 
 def _binary_fields(path, head, size, layout, magic, version, floats: Callable[..., int]):
@@ -292,21 +310,26 @@ def load_features(path: str | Path, video_id: str | None = None) -> FeatureSeque
 # ---------------------------------------------------------------------------
 
 
+def _fields(line: str) -> list[str]:
+    """A CSV line's fields as read: the stripped line split on commas; a blank line has none."""
+    line = line.strip()
+    return line.split(",") if line else []
+
+
 def _csv_rows(path: Path, header: str, types: tuple[Callable[[str], object], ...]):
     """A CSV file's header fields and (line number, fields parsed by ``types``) rows.
 
     Blank lines count in line numbers only; ``<name>`` in ``header`` matches anything."""
     lines = enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
-    numbered = [(lineno, line.strip()) for lineno, line in lines if line.strip()]
+    numbered = [(lineno, parts) for lineno, line in lines if (parts := _fields(line))]
     pattern = header.split(",")
-    head = numbered[0][1].split(",") if numbered else []
+    head = numbered[0][1] if numbered else []
     if len(head) != len(pattern) or any(
         want != got for want, got in zip(pattern, head) if not want.startswith("<")
     ):
         raise FileFormatError(f"{path}: missing '{header}' header")
     rows = []
-    for lineno, line in numbered[1:]:
-        parts = line.split(",")
+    for lineno, parts in numbered[1:]:
         if len(parts) != len(types):
             got = f"expected {len(types)} fields, got {len(parts)}"
             raise FileFormatError(f"{path}:{lineno}: {got}")
@@ -320,14 +343,17 @@ def _csv_rows(path: Path, header: str, types: tuple[Callable[[str], object], ...
 def _csv_text(rows) -> str:
     """CSV text with one line per row: floats with 6 decimals, anything else by ``str``.
 
-    A field holding a comma or a line break (anything ``str.splitlines`` splits
-    on), which ``_csv_rows`` could not read back, raises ValueError naming its row."""
+    A row whose line ``_fields`` would read back differently, or holding a line
+    break (anything ``str.splitlines`` splits on), raises ValueError naming it."""
     lines = []
     for row in rows:
         fields = [f"{value:.6f}" if isinstance(value, float) else str(value) for value in row]
         line = ",".join(fields)
-        if line.count(",") != len(fields) - 1 or (line + "\n").splitlines() != [line]:
-            raise ValueError(f"CSV row {row!r}: a field holds a comma or a line break")
+        if _fields(line) != fields or (line + "\n").splitlines() != [line]:
+            raise ValueError(
+                f"CSV row {row!r} would not read back as written: a field holds a comma"
+                " or a line break, or the line is blank or has whitespace at an end"
+            )
         lines.append(line)
     return "\n".join(lines) + "\n"
 
@@ -380,7 +406,7 @@ def _check_segments(
 def save_annotation_file(path: str | Path, segments: list[KeyStepSegment]) -> None:
     """Write segments as CSV; times are written exactly, by ``repr``."""
     rows = [(repr(seg.start_s), repr(seg.end_s), seg.label_id) for seg in segments]
-    Path(path).write_text(_csv_text([ANNOTATION_HEADER.split(","), *rows]), encoding="utf-8")
+    _write_file(path, _csv_text([ANNOTATION_HEADER.split(","), *rows]))
 
 
 def segments_to_frame_labels(
@@ -503,20 +529,25 @@ def load_manifest(path: str | Path) -> TaskManifest:
 
 
 def save_manifest(path: str | Path, manifest: TaskManifest) -> None:
-    """Write a manifest; stored paths are made relative to the manifest directory.
+    """Write ``format_manifest(path, manifest)`` to ``path``."""
+    _write_file(path, format_manifest(path, manifest))
+
+
+def format_manifest(path: str | Path, manifest: TaskManifest) -> str:
+    """A manifest's text as stored at ``path``; stored paths are made relative
+    to the manifest directory.
 
     Entry paths are read as given from the working directory. Those outside
-    the manifest's directory are stored absolute. A name or path holding a
-    comma or line break, which the format cannot store, raises ValueError.
+    the manifest's directory are stored absolute. A name or path that would
+    not read back as written (see ``_csv_text``) raises ValueError.
     """
-    path = Path(path)
-    base = path.parent
+    base = Path(path).parent
     rows = [("task", manifest.task_name, manifest.K)]
     for entry in manifest.entries:
         annotation = entry.annotation_path
         annotation = "-" if annotation is None else _relative_to(annotation, base)
         rows.append((entry.video_id, _relative_to(entry.feature_path, base), annotation))
-    path.write_text(_csv_text(rows), encoding="utf-8")
+    return _csv_text(rows)
 
 
 def _relative_to(target: Path, base: Path) -> str:
@@ -536,7 +567,7 @@ ASSIGNMENT_HEADER = "frame,label"
 
 def save_assignment_file(path: str | Path, labels: np.ndarray) -> None:
     rows = [(i, int(label)) for i, label in enumerate(labels)]
-    Path(path).write_text(_csv_text([ASSIGNMENT_HEADER.split(","), *rows]), encoding="utf-8")
+    _write_file(path, _csv_text([ASSIGNMENT_HEADER.split(","), *rows]))
 
 
 def load_assignment_file(path: str | Path) -> np.ndarray:

@@ -457,8 +457,9 @@ def train_embedder(dataset: list[FeatureSequence], config: TrainConfig) -> Train
 
     Step s trains on pair s mod P of the P video pairs (i, j), i < j, taken
     in order: it embeds both videos, evaluates the combined loss, and applies
-    its exact gradient. A numeric failure names the step and both videos. The
-    loss trace is reproducible bit-for-bit for a fixed seed.
+    its exact gradient. A numeric failure, an overflowing update included,
+    names the step and both videos. The loss trace is reproducible bit-for-bit
+    for a fixed seed.
     """
     if len(dataset) < 2:
         raise ValueError(f"training needs at least two videos, got {len(dataset)}")
@@ -485,17 +486,18 @@ def train_embedder(dataset: list[FeatureSequence], config: TrainConfig) -> Train
             loss, gA, gB = tc3i_loss(A, B, config)
             gW1a, gb1a, gW2a, gb2a = _backward(params, cache_a, gA)
             gW1b, gb1b, gW2b, gb2b = _backward(params, cache_b, gB)
+            lr = config.learning_rate
+            with np.errstate(over="raise", invalid="raise"):
+                params = replace(
+                    params,
+                    W1=params.W1 - lr * (gW1a + gW1b),
+                    b1=params.b1 - lr * (gb1a + gb1b),
+                    W2=params.W2 - lr * (gW2a + gW2b),
+                    b2=params.b2 - lr * (gb2a + gb2b),
+                )
         except FloatingPointError as exc:
             videos = f"{dataset[i].video_id!r} and {dataset[j].video_id!r}"
             raise FloatingPointError(f"training step {step} on videos {videos}: {exc}") from None
-        lr = config.learning_rate
-        params = replace(
-            params,
-            W1=params.W1 - lr * (gW1a + gW1b),
-            b1=params.b1 - lr * (gb1a + gb1b),
-            W2=params.W2 - lr * (gW2a + gW2b),
-            b2=params.b2 - lr * (gb2a + gb2b),
-        )
         trace.append(loss)
     return TrainResult(params=params, loss_trace=trace)
 

@@ -12,6 +12,7 @@ import pytest
 from proclearn.cli import (
     KEY_SPECS,
     ConfigError,
+    _FAILURES,
     _field_keys,
     build_parser,
     main,
@@ -166,6 +167,8 @@ def test_help_documents_exit_codes(capsys):
     assert excinfo.value.code == 0
     out = capsys.readouterr().out
     assert "exit codes:" in out
+    for _, code, _, text in _FAILURES:
+        assert out.count(f"\n  {code}  ") == 1 and f"\n  {code}  {text}\n" in out
     assert "foreground_ratio_target" in out
     assert "--background_bias=-1e-3" in out
 
@@ -404,7 +407,17 @@ def test_out_of_range_assignment_names_its_file_and_exits_5(tmp_path, capsys):
 def test_run_all_rejects_a_task_name_the_manifest_cannot_store(tmp_path):
     out = tmp_path / "out"
     assert _run("run-all", out, "--task_name", "a,b") == 5
-    assert not (out / "manifest.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag", [("--smoothness", "-1"), ("--kmeans_restarts", "0"), ("--learning_rate", "0")]
+)
+def test_run_all_checks_every_stage_setting_before_it_writes(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert _run("run-all", out, *flag) == 5
+    assert flag[0][2:] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _rename_manifest_row(manifest: Path, row: int, video_id: str) -> None:
@@ -477,12 +490,14 @@ def test_localize_names_a_non_finite_embedding_and_exits_5(tmp_path, capsys):
 
 
 def test_diverging_training_exits_6_from_train(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert _run("run-all", out, "--learning_rate", "1e300") == 6
-    err = capsys.readouterr().err
-    assert "embedding norm" in err
-    assert "training step " in err and "'video_00'" in err
-    assert not (out / "params.cncp").exists()
+    # 1e300 overflows the next step's embedding; 1e308 overflows the update itself.
+    for rate, cause in [("1e300", "embedding norm"), ("1e308", "overflow encountered")]:
+        out = tmp_path / rate
+        assert _run("run-all", out, "--learning_rate", rate) == 6
+        err = capsys.readouterr().err
+        assert cause in err
+        assert "training step " in err and "'video_00'" in err
+        assert not (out / "params.cncp").exists()
 
 
 @pytest.mark.parametrize("rate", ["0", "-0.5"])

@@ -69,8 +69,9 @@ def test_feature_sequence_rejects_bad_shape(features):
 def test_feature_sequence_rejects_nonfinite_and_bad_fps():
     with pytest.raises(ValueError):
         FeatureSequence(video_id="a", features=[[np.nan]], fps=1.0)
-    with pytest.raises(ValueError):
-        FeatureSequence(video_id="a", features=[[1.0]], fps=0.0)
+    for fps in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="fps"):
+            FeatureSequence(video_id="a", features=[[1.0]], fps=fps)
 
 
 def test_segment_validation():
@@ -330,6 +331,27 @@ def test_manifest_stores_relative_entries_from_working_directory(tmp_path, monke
     assert outside.split(",")[1] == (tmp_path / "feats" / "va.feat").as_posix()
 
 
+def test_a_failed_save_leaves_the_target_and_no_temp_file(tmp_path, monkeypatch):
+    manifest = _write_task(tmp_path)
+    path = tmp_path / "manifest.csv"
+    save_manifest(path, manifest)
+    before = path.read_bytes()
+    entry = manifest.entries[0]
+    unstorable = TaskManifest("demo", 2, [ManifestEntry(" v", entry.feature_path, None)])
+    with pytest.raises(ValueError, match="' v'"):
+        save_manifest(path, unstorable)
+    assert path.read_bytes() == before
+
+    def refuse(*_):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(core.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        save_manifest(path, TaskManifest("other", 2, manifest.entries))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.glob(".*")] == []
+
+
 def test_manifest_errors_count_blank_lines(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text("task,demo,2\nva,a.feat,-\n\n\nvb,b.feat\n")
@@ -427,12 +449,10 @@ def test_csv_readers_share_the_header_and_row_rules(tmp_path):
             read(path)
 
 
-# Fields _csv_rows reads back as written. It strips each line, so a string
-# field drawn here also has no whitespace at either end.
+# Any text, surrogates aside: _csv_text must refuse what _csv_rows cannot
+# read back as written.
 _CSV_FIELDS = {
-    str: st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(
-        lambda s: "," not in s and (s + "\n").splitlines() == [s] and s == s.strip()
-    ),
+    str: st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
     int: st.integers(),
     float: st.floats(allow_nan=False, allow_infinity=False),
 }
@@ -451,7 +471,11 @@ def test_csv_text_round_trips_through_csv_rows(tmp_path_factory, table):
     types, rows = table
     header = tuple(f"c{i}" for i in range(len(types)))
     path = tmp_path_factory.mktemp("csv") / "table.csv"
-    path.write_text(_csv_text([header, *rows]), encoding="utf-8")
+    try:
+        text = _csv_text([header, *rows])
+    except ValueError:
+        return
+    path.write_text(text, encoding="utf-8")
     head, read = _csv_rows(path, ",".join(header), types)
     assert head == list(header)
     expected = [
@@ -468,6 +492,14 @@ def test_csv_text_rejects_a_field_with_a_comma_or_line_break(bad, template):
     row = ("video", template.format(bad), 3)
     with pytest.raises(ValueError, match=re.escape(repr(row))):
         _csv_text([("id", "path", "n"), row])
+
+
+@pytest.mark.parametrize(
+    "row", [(" v", "f.feat", "-"), ("v", "f.feat", "a.csv "), ("\t",), ("",)]
+)
+def test_csv_text_rejects_a_line_that_reads_back_changed(row):
+    with pytest.raises(ValueError, match=re.escape(repr(row))):
+        _csv_text([("id",), row])
 
 
 def test_csv_text_writes_floats_with_6_decimals_and_the_rest_by_str():
