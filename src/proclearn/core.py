@@ -20,14 +20,17 @@ Each file family has one reader and one writer here, used by every module:
 atomic ``_write_file`` (a temp file in the target's directory, then a rename).
 
 Everything here is a pure function over immutable inputs; values are safe
-to share across threads for reading.
+to share across threads for reading. ``_parallel_map`` is the one way the
+package uses more than one CPU: it runs a stage's independent jobs on the
+calling thread and a shared pool of threads, and yields their results in
+order.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import tempfile
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -82,17 +85,107 @@ def setting(default, help: str):
 
 def _write_file(path: str | Path, data: str | bytes) -> None:
     """Write ``data`` (text as UTF-8) through a ``.<name>.*`` temp file in the target's
-    directory, made if missing, renamed over the target; a failure leaves the target."""
+    directory, made if missing, renamed over the target; a failure leaves the target.
+
+    The temp file is created with mode 0666 less the umask, as ``open`` would."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
-        Path(tmp).unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+# ---------------------------------------------------------------------------
+# Concurrency
+# ---------------------------------------------------------------------------
+
+_pool_key = None  # (pid, CPU count) the pool below was made for
+_pool = None
+_pool_lock = threading.Lock()
+_job_thread = threading.local()  # .active is set while the thread runs a job
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _shared_pool(n: int):
+    """The process's pool of n - 1 threads, made on first use, when n changes
+    and after a fork (a child holds its parent's pool object but none of its
+    threads). A replaced pool's threads exit once no caller holds it."""
+    global _pool, _pool_key
+    with _pool_lock:
+        if _pool_key != (os.getpid(), n):
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(n - 1, thread_name_prefix="proclearn")
+            _pool_key = (os.getpid(), n)
+        return _pool
+
+
+# Threads overlap only inside numpy operations, which release the interpreter
+# lock; each operation costs a lock handoff. Below this many entries in the
+# arrays a job's operations work on, the handoffs cost about as much as the
+# overlap saves or more. On 2 shared vCPUs a training loss took 3.0 ms alone
+# and 4.5 ms on two threads at 100 x 100 frames, 9.2 and 8.2 ms at 200 x 200
+# (no gain over a 30-video, 40-step run-all), and 22 and 17 ms at 300 x 300.
+_MIN_PARALLEL_ENTRIES = 1 << 16
+
+
+def _parallel_map(fn, items, entries: int):
+    """Yield ``fn(x)`` for each of ``items``, in item order, using every CPU.
+
+    With n = ``_cpu_count()``, the calling thread runs items 0, n, 2n, ... itself
+    and a shared pool of n - 1 threads runs the rest; at most 2n items are in
+    flight. Every job runs under the caller's numpy error state. A job that
+    raises stops the map: unstarted jobs are cancelled, running ones awaited,
+    and the first failing item's exception is raised. With n = 1, for a call
+    made from inside a job, and when the jobs' typical operation covers fewer
+    than ``_MIN_PARALLEL_ENTRIES`` array ``entries``, the jobs run in order in
+    the calling thread. Callers combine the results in item order, so results
+    do not depend on n.
+    """
+    items = list(items)
+    n = _cpu_count()
+    small = entries < _MIN_PARALLEL_ENTRIES or len(items) < 2
+    if n < 2 or small or getattr(_job_thread, "active", False):
+        yield from map(fn, items)
+        return
+    errors = np.geterr()
+
+    def job(item):
+        _job_thread.active = True
+        try:
+            with np.errstate(**errors):
+                return fn(item)
+        finally:
+            _job_thread.active = False
+
+    from concurrent.futures import wait
+
+    pool = _shared_pool(n)
+    pending, submitted = {}, 0
+    try:
+        for i, item in enumerate(items):
+            for j in range(submitted, min(i + 2 * n, len(items))):
+                if j % n:
+                    pending[j] = pool.submit(job, items[j])
+            submitted = i + 2 * n
+            yield pending.pop(i).result() if i % n else job(item)
+    finally:
+        for future in pending.values():
+            future.cancel()
+        wait(pending.values())
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ two signals:
 
 Every loss returns exact analytic gradients; the test suite checks them
 against central finite differences. Loss and gradient evaluations are pure;
-parameter updates during training are strictly sequential.
+parameter updates during training are strictly sequential. Within one step,
+``tc3i_loss`` runs its four terms (two cycle-back directions, two coherence
+terms) concurrently on the process's CPUs and adds them in a fixed order.
 
 Both losses take squared distances in Gram form, ||x||^2 + ||y||^2 - 2 x.y
 clamped at 0, so no N x M x E temporary is built. Within one video, pairs
@@ -33,12 +35,20 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import FeatureSequence, _binary_fields, _csv_text, _write_binary, setting
+from .core import (
+    FeatureSequence,
+    _binary_fields,
+    _csv_text,
+    _parallel_map,
+    _write_binary,
+    setting,
+)
 
 PARAMS_MAGIC = b"CNCP"
 PARAMS_VERSION = 1
@@ -428,19 +438,24 @@ def tc3i_loss(A: np.ndarray, B: np.ndarray, config: TrainConfig):
     Equals tcc(A,B) + tcc(B,A) + w * (cidm(A) + cidm(B)); gradients compose by
     sum. Both cycle-back directions read one A-B squared-distance matrix, the
     B-A direction through its transpose. The coherence terms are skipped
-    entirely when their weight is zero.
+    entirely when their weight is zero. The two cycle-back directions and the
+    two coherence terms are independent jobs for ``core._parallel_map``; their
+    losses and gradients are added in the order written above, so the result
+    does not depend on the CPU count.
     """
     A, B = _as_pair(A, B)
     dist = _sqdist(A, B)
     knobs = (config.temperature, config.variance_weight, config.variance_floor)
-    loss_ab, gA, gB = _cycle_back(A, B, dist, *knobs)
-    loss_ba, gB2, gA2 = _cycle_back(B, A, dist.T, *knobs)
+    jobs = [partial(_cycle_back, A, B, dist, *knobs), partial(_cycle_back, B, A, dist.T, *knobs)]
+    if config.cidm_weight > 0:
+        jobs += [partial(cidm_loss, U, config.cidm_window, config.cidm_margin) for U in (A, B)]
+    results = _parallel_map(lambda job: job(), jobs, dist.size)
+    (loss_ab, gA, gB), (loss_ba, gB2, gA2), *coherence = results
     loss = loss_ab + loss_ba
     gA += gA2
     gB += gB2
-    if config.cidm_weight > 0:
-        loss_a, grad_a = cidm_loss(A, config.cidm_window, config.cidm_margin)
-        loss_b, grad_b = cidm_loss(B, config.cidm_window, config.cidm_margin)
+    if coherence:
+        (loss_a, grad_a), (loss_b, grad_b) = coherence
         loss += config.cidm_weight * (loss_a + loss_b)
         gA += config.cidm_weight * grad_a
         gB += config.cidm_weight * grad_b

@@ -18,6 +18,11 @@ just that: per-frame t-link capacities, the video lengths, and the one
 ``smoothness`` of every n-link between adjacent frames of a video.
 ``min_cut`` labels it with forward-backward min-marginals in O(T) per
 video, all videos in step.
+
+Two stages run concurrently on the process's CPUs: the score products, one
+job per video with its later partners, and the Lloyd iterations of the
+k-means restarts, one job per restart. Both combine their jobs' results in
+a fixed order, so labels do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KeyStepAssignment, setting
+from .core import KeyStepAssignment, _parallel_map, setting
 
 __all__ = [
     "EnergyGraph",
@@ -157,17 +162,48 @@ def correspondence_scores(embeddings: list[np.ndarray]) -> list[np.ndarray]:
     ``E_v @ E_w.T``: its row maxima score v and its column maxima score w.
     Every video adds its partners in increasing index order. Errors name a
     video by its index in ``embeddings``.
+
+    Each video's products with its later partners are one job for
+    ``core._parallel_map``; the maxima are added in (v, w) order, so scores do
+    not depend on the CPU count. A product of more than 2^18 entries is taken
+    in row blocks to bound each job's memory.
     """
     if len(embeddings) < 2:
         raise ValueError(f"need at least 2 videos, got {len(embeddings)}")
     mats = _embedding_matrices(dict(enumerate(embeddings)))
     acc = [np.zeros(E.shape[0]) for E in mats]
-    for v, E in enumerate(mats):
-        for w in range(v + 1, len(mats)):
-            product = E @ mats[w].T
-            acc[v] += product.max(axis=1)
-            acc[w] += product.max(axis=0)
+    mean_length = sum(len(E) for E in mats) / len(mats)
+    maxima = _parallel_map(
+        lambda v: _partner_maxima(mats, v), range(len(mats) - 1), int(mean_length**2)
+    )
+    for v, partners in enumerate(maxima):
+        for w, (row_max, col_max) in enumerate(partners, start=v + 1):
+            acc[v] += row_max
+            acc[w] += col_max
     return [np.clip(a / (len(mats) - 1), -1.0, 1.0) for a in acc]
+
+
+# Entries of one row block of a score product: 2 MB of float64. A pair of
+# videos of up to 2^18 frame pairs is one product.
+_SCORE_BLOCK_ENTRIES = 1 << 18
+
+
+def _partner_maxima(mats: list[np.ndarray], v: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and column maxima of ``mats[v] @ mats[w].T`` for each w > v, in order.
+
+    The product is taken in row blocks of at most ``_SCORE_BLOCK_ENTRIES`` entries.
+    """
+    E = mats[v]
+    partners = []
+    for F in mats[v + 1 :]:
+        step = max(1, _SCORE_BLOCK_ENTRIES // len(F))
+        row_max, col_max = np.empty(len(E)), np.full(len(F), -np.inf)
+        for start in range(0, len(E), step):
+            product = E[start : start + step] @ F.T
+            row_max[start : start + step] = product.max(axis=1)
+            np.maximum(col_max, product.max(axis=0), out=col_max)
+        partners.append((row_max, col_max))
+    return partners
 
 
 def build_energy_graph(
@@ -289,13 +325,8 @@ def _nearest_centroids(
     return labels
 
 
-def _kmeans_once(
-    points: np.ndarray,
-    points_t: np.ndarray,
-    sq_norms: np.ndarray,
-    K: int,
-    rng: np.random.Generator,
-):
+def _kmeans_seed(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+    """K initial centroids by kmeans++ seeding, drawn from ``rng``."""
     n = points.shape[0]
     centroids = np.empty((K, points.shape[1]))
     centroids[0] = points[int(rng.integers(n))]
@@ -309,8 +340,14 @@ def _kmeans_once(
             idx = int(rng.integers(n))
         centroids[c] = points[idx]
         d2 = np.minimum(d2, np.sum((points - centroids[c]) ** 2, axis=1))
+    return centroids
 
-    labels = np.full(n, -1, dtype=np.int64)
+
+def _lloyd(points, points_t, sq_norms, centroids):
+    """Lloyd iterations from ``centroids`` (updated in place) until the labels
+    repeat, at most 100; returns labels, centroids and inertia."""
+    K = centroids.shape[0]
+    labels = np.full(points.shape[0], -1, dtype=np.int64)
     for _ in range(100):
         new_labels = _nearest_centroids(points, points_t, sq_norms, centroids)
         if np.array_equal(new_labels, labels):
@@ -325,8 +362,10 @@ def _kmeans_once(
         )
         present = counts > 0
         centroids[present] = sums[present] / counts[present, None]
-    inertia = float(((points - centroids[labels]) ** 2).sum())
-    return labels, centroids, inertia
+    diff = centroids[labels]
+    np.subtract(points, diff, out=diff)
+    np.square(diff, out=diff)
+    return labels, centroids, float(diff.sum())
 
 
 def cluster_foreground(
@@ -335,8 +374,10 @@ def cluster_foreground(
     """Cluster foreground embeddings into key-steps labeled 1..K.
 
     Uses k-means (squared-Euclidean, kmeans++ seeding, best of
-    ``kmeans_restarts`` by inertia). With fewer points than K every point
-    becomes its own cluster and higher labels go unused.
+    ``kmeans_restarts`` by inertia, the first on ties). With fewer points than
+    K every point becomes its own cluster and higher labels go unused. Every
+    restart is seeded first, in order, from the one generator; the Lloyd
+    iterations of the restarts then run as jobs of ``core._parallel_map``.
     """
     points = np.asarray(points, dtype=np.float64)
     if K < 1:
@@ -347,9 +388,12 @@ def cluster_foreground(
     if n < K:
         return np.arange(1, n + 1, dtype=np.int64), points.copy()
     rng = np.random.default_rng(seed)
+    seeds = [_kmeans_seed(points, K, rng) for _ in range(kmeans_restarts)]
     points_t = np.ascontiguousarray(points.T)
     sq_norms = np.einsum("ij,ij->i", points, points)
-    runs = (_kmeans_once(points, points_t, sq_norms, K, rng) for _ in range(kmeans_restarts))
+    runs = _parallel_map(
+        lambda start: _lloyd(points, points_t, sq_norms, start), seeds, K * points.shape[0]
+    )
     labels, centroids, _ = min(runs, key=lambda run: run[2])
     return labels + 1, centroids
 

@@ -133,6 +133,22 @@ def correspondence_scores_oracle(videos):
     return scores
 
 
+def correspondence_scores_serial(videos):
+    """The scores by one product per pair, in a serial two-loop order.
+
+    Video v adds the row maxima of ``E_v @ E_w.T`` and video w its column
+    maxima, for v < w in increasing (v, w) order.
+    """
+    mats = [np.asarray(E, dtype=np.float64) for E in videos]
+    acc = [np.zeros(E.shape[0]) for E in mats]
+    for v, E in enumerate(mats):
+        for w in range(v + 1, len(mats)):
+            product = E @ mats[w].T
+            acc[v] += product.max(axis=1)
+            acc[w] += product.max(axis=0)
+    return [np.clip(a / (len(mats) - 1), -1.0, 1.0) for a in acc]
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive combinatorial solvers
 # ---------------------------------------------------------------------------

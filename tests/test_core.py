@@ -5,6 +5,10 @@ import os
 import pkgutil
 import re
 import struct
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +356,18 @@ def test_a_failed_save_leaves_the_target_and_no_temp_file(tmp_path, monkeypatch)
     assert [p.name for p in tmp_path.glob(".*")] == []
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_saved_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        save_features(tmp_path / "v.feat", _sequence())
+        save_assignment_file(tmp_path / "v.csv", np.zeros(3, dtype=np.int64))
+    finally:
+        os.umask(old)
+    for name in ("v.feat", "v.csv"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode
+
+
 def test_manifest_errors_count_blank_lines(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text("task,demo,2\nva,a.feat,-\n\n\nvb,b.feat\n")
@@ -535,3 +551,127 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"proclearn.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# Concurrency
+# ---------------------------------------------------------------------------
+
+
+def _pmap(fn, items):
+    return list(core._parallel_map(fn, items, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_parallel_map_yields_in_item_order_and_the_caller_runs_every_nth(cpus, n):
+    cpus(n)
+    caller = threading.get_ident()
+
+    def job(i):
+        time.sleep(0.002 * ((7 * i) % 5))  # later items often finish first
+        return i, threading.get_ident() == caller
+
+    results = _pmap(job, range(12))
+    assert [i for i, _ in results] == list(range(12))
+    assert [on_caller for _, on_caller in results] == [i % n == 0 for i in range(12)]
+
+
+def test_parallel_map_cancels_unstarted_jobs_and_raises_the_first_failure(cpus):
+    cpus(2)
+    started, finished = [], []
+    running = threading.Event()
+
+    def job(i):
+        started.append(i)
+        if i == 0:
+            assert running.wait(30)
+            raise KeyError("item 0")
+        running.set()
+        time.sleep(0.2)
+        finished.append(i)
+        raise KeyError(f"item {i}")
+
+    with pytest.raises(KeyError, match="item 0"):
+        _pmap(job, range(10))
+    # Item 1 ran and was awaited before the raise; item 3, queued behind it
+    # on the one pool thread, was cancelled, and no later item started.
+    assert sorted(started) == [0, 1] and finished == [1]
+
+
+def test_parallel_map_raises_the_failure_of_the_first_item_in_order(cpus):
+    cpus(3)
+
+    def job(i):
+        if i == 1:
+            time.sleep(0.05)  # both fail on the pool, item 2 first
+        if i in (1, 2):
+            raise ValueError(f"item {i}")
+        return i
+
+    with pytest.raises(ValueError, match="item 1"):
+        _pmap(job, range(4))
+
+
+def test_parallel_map_runs_a_call_from_inside_a_job_inline(cpus):
+    cpus(2)
+
+    def outer(i):
+        here = threading.get_ident()
+        inner = _pmap(lambda j: (i * 10 + j, threading.get_ident()), range(4))
+        return [value for value, thread in inner if thread == here]
+
+    results = []  # a nested call that waited on the busy pool would hang: bound it
+    runner = threading.Thread(target=lambda: results.append(_pmap(outer, range(3))), daemon=True)
+    runner.start()
+    runner.join(30)
+    assert not runner.is_alive()
+    assert results == [[[0, 1, 2, 3], [10, 11, 12, 13], [20, 21, 22, 23]]]
+
+
+def test_parallel_map_jobs_run_under_the_callers_error_state(cpus):
+    cpus(2)
+
+    def overflow(i):
+        return np.float64(1e308) * (10.0 if i == 1 else 1.0)
+
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            _pmap(overflow, range(2))  # item 1 runs on the pool
+    with np.errstate(over="ignore"):
+        assert _pmap(overflow, range(2)) == [1e308, np.inf]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_parallel_map_replaces_a_pool_made_before_a_fork(cpus):
+    cpus(2)
+    assert _pmap(abs, [-1, -2, -3]) == [1, 2, 3]
+    parent_pool = core._pool
+    pid = os.fork()
+    if pid == 0:  # child: the parent's pool has no threads here
+        code = 1
+        try:
+            ok = _pmap(abs, [-4, -5, -6]) == [4, 5, 6]
+            code = 0 if ok and core._pool is not parent_pool else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung on its parent's pool")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    assert core._pool is parent_pool
+
+
+def test_importing_proclearn_imports_no_pool_and_starts_no_thread():
+    code = (
+        "import sys, threading, proclearn.cli; "
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    )
+    src = str(Path(proclearn.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "False"]

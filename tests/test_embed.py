@@ -516,6 +516,41 @@ def test_train_visits_pairs_round_robin(monkeypatch):
     assert lengths == [(6, 7), (6, 8), (7, 8), (6, 7), (6, 8)]
 
 
+def test_tc3i_and_training_do_not_depend_on_the_cpu_count(cpus):
+    rng = np.random.default_rng(31)
+    A, B = (rng.standard_normal((T, 5)) for T in (40, 33))
+    dataset = _toy_dataset(seed=3, N=3, T=24)
+    config = TrainConfig(steps=6, seed=15, hidden_dim=6, embed_dim=3)
+    runs = []
+    for n in (1, 2, 3):
+        cpus(n)
+        runs.append((tc3i_loss(A, B, TrainConfig()), train_embedder(dataset, config)))
+    (loss, gA, gB), trained = runs[0]
+    for (other_loss, other_gA, other_gB), other in runs[1:]:
+        assert other_loss == loss
+        assert np.array_equal(other_gA, gA) and np.array_equal(other_gB, gB)
+        assert other.loss_trace == trained.loss_trace
+        assert np.array_equal(other.params.W1, trained.params.W1)
+
+
+def test_a_failing_loss_term_on_the_pool_names_the_step_and_videos(cpus, monkeypatch):
+    cpus(2)
+
+    def failing_cidm(U, window, margin):
+        if len(U) == 13:  # the second video of the pair: job 3, on the pool
+            raise FloatingPointError("non-finite temporal-coherence gradient")
+        return cidm_loss(U, window, margin)
+
+    monkeypatch.setattr(embed, "cidm_loss", failing_cidm)
+    dataset = [
+        FeatureSequence(video_id=f"v{n}", features=video.features[: 12 + n], fps=1.0)
+        for n, video in enumerate(_toy_dataset(N=2, T=15))
+    ]
+    match = "training step 0 on videos 'v0' and 'v1': non-finite temporal"
+    with pytest.raises(FloatingPointError, match=match):
+        train_embedder(dataset, TrainConfig(steps=2, seed=1, hidden_dim=6, embed_dim=3))
+
+
 def test_train_reduces_loss_on_planted_data():
     dataset = _toy_dataset(seed=21, N=2, T=30, D=4)
     config = TrainConfig(steps=50, seed=14, hidden_dim=8, embed_dim=4)

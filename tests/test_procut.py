@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    correspondence_scores_serial,
     brute_force_min_energy,
     brute_force_minimal_source_side,
     chain_min_marginals,
@@ -103,6 +104,32 @@ def test_scores_match_two_product_oracle():
         scores = correspondence_scores(videos)
         for got, expected in zip(scores, correspondence_scores_oracle(videos)):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+
+def test_scores_do_not_depend_on_the_cpu_count(cpus):
+    rng = np.random.default_rng(25)
+
+    def unit(T):
+        M = rng.standard_normal((T, 8))
+        return M / np.linalg.norm(M, axis=1, keepdims=True)
+
+    ragged = [unit(int(T)) for T in rng.integers(1, 90, size=7)]
+    # 620 x 530 frame pairs exceed 2^18: the product is taken in row blocks,
+    # which may round differently from one whole product.
+    blocked = [unit(620), unit(530), unit(40)]
+    for videos in (ragged, blocked):
+        serial = correspondence_scores_serial(videos)
+        runs = []
+        for n in (1, 2, 3):
+            cpus(n)
+            runs.append(correspondence_scores(videos))
+        for scores in runs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(scores, runs[0]))
+        for got, expected in zip(runs[0], serial):
+            if videos is ragged:
+                assert np.array_equal(got, expected)
+            else:
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
 
 def test_scores_errors_name_the_video():
@@ -459,6 +486,19 @@ def test_cluster_peak_memory_stays_below_a_point_centroid_difference():
     finally:
         tracemalloc.stop()
     assert peak < n * K * E * 8
+
+
+def test_cluster_does_not_depend_on_the_cpu_count(cpus):
+    rng = np.random.default_rng(26)
+    centers = rng.standard_normal((4, 3)) * 3
+    points = np.concatenate([c + rng.standard_normal((60, 3)) for c in centers])
+    runs = []
+    for n in (1, 2, 3):
+        cpus(n)
+        runs.append(cluster_foreground(points, K=4, kmeans_restarts=7, seed=8))
+    for labels, centroids in runs[1:]:
+        assert np.array_equal(labels, runs[0][0])
+        assert np.array_equal(centroids, runs[0][1])
 
 
 def test_cluster_validation_and_determinism():
