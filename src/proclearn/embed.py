@@ -29,6 +29,11 @@ _BLOCK_ENTRIES entries, which stay in cache: per-row work is done within a
 block and column-side gradient terms add up across blocks. The coherence
 weights depend only on the index gap, so each block reads them as windows
 of two length-(2T-1) profiles. Videos of up to 256 frames are one block.
+
+A training step reads at most ``TrainConfig.train_frames`` (F) frames of each
+video: a longer video is read at a stride whose offset moves by one with each
+pass over the video pairs, so a step costs O(F^2) at any video length and
+every frame is read in turn. ``embed_sequence`` always embeds every frame.
 """
 
 from __future__ import annotations
@@ -114,12 +119,17 @@ class EmbedderParams:
 class TrainConfig:
     """Hyperparameters for embedder training.
 
-    ``temperature`` scales the soft-match softmax, ``variance_weight`` and
-    ``variance_floor`` control the regression variance term, and the three
-    ``cidm_*`` knobs control the temporal-coherence regularizer.
+    ``train_frames`` bounds the frames of each video that one training step
+    reads (see ``train_embedder``); inference embeds every frame whatever its
+    value. ``temperature`` scales the soft-match softmax, ``variance_weight``
+    and ``variance_floor`` control the regression variance term, and the
+    three ``cidm_*`` knobs control the temporal-coherence regularizer. The
+    regularizer's window and pair weights count the frames a step reads, so
+    on a video read at a stride a gap of 1 is ``stride`` frames apart.
     """
 
     steps: int = setting(500, "training steps")
+    train_frames: int = setting(512, "most frames of each video one training step reads")
     learning_rate: float = setting(1e-2, "gradient descent rate")
     temperature: float = setting(0.1, "cycle-consistency softmax temperature")
     variance_weight: float = setting(1e-3, "weight of the log-variance term")
@@ -134,6 +144,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.train_frames < 3:
+            raise ValueError(f"train_frames must be >= 3, got {self.train_frames}")
         if not (self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not (self.temperature > 0):
@@ -467,14 +479,28 @@ def tc3i_loss(A: np.ndarray, B: np.ndarray, config: TrainConfig):
 # ---------------------------------------------------------------------------
 
 
+def _train_rows(num_frames: int, step: int, num_pairs: int, most: int) -> slice:
+    """The frames of a video that training step ``step`` reads: stride
+    ceil(T / most) from offset (step // num_pairs) % stride, so the offset
+    moves by one with each pass over the pairs."""
+    stride = -(-num_frames // most)
+    return slice((step // num_pairs) % stride, None, stride)
+
+
 def train_embedder(dataset: list[FeatureSequence], config: TrainConfig) -> TrainResult:
     """Train from a seeded initialization by plain gradient descent.
 
     Step s trains on pair s mod P of the P video pairs (i, j), i < j, taken
-    in order: it embeds both videos, evaluates the combined loss, and applies
-    its exact gradient. A numeric failure, an overflowing update included,
-    names the step and both videos. The loss trace is reproducible bit-for-bit
-    for a fixed seed.
+    in order: it embeds the frames of both videos that it reads, evaluates the
+    combined loss on them, and applies its exact gradient. A video of T frames
+    is read whole when T <= ``config.train_frames`` (F), and otherwise at
+    stride ceil(T / F) from offset (s // P) % stride, so a step costs at most
+    O(F^2) whatever the video lengths, and every frame is read within
+    stride * P steps. The loss trace holds each step's loss on the frames it
+    read and is reproducible bit-for-bit for a fixed seed. A numeric failure,
+    an overflowing update included, names the step and both videos, with the
+    frames read from a strided one; a frame number in its message counts
+    those frames.
     """
     if len(dataset) < 2:
         raise ValueError(f"training needs at least two videos, got {len(dataset)}")
@@ -495,9 +521,13 @@ def train_embedder(dataset: list[FeatureSequence], config: TrainConfig) -> Train
     trace: list[float] = []
     for step in range(config.steps):
         i, j = pairs[step % len(pairs)]
+        rows_a, rows_b = (
+            _train_rows(dataset[v].num_frames, step, len(pairs), config.train_frames)
+            for v in (i, j)
+        )
         try:
-            A, cache_a = _forward(params, dataset[i].features)
-            B, cache_b = _forward(params, dataset[j].features)
+            A, cache_a = _forward(params, dataset[i].features[rows_a])
+            B, cache_b = _forward(params, dataset[j].features[rows_b])
             loss, gA, gB = tc3i_loss(A, B, config)
             gW1a, gb1a, gW2a, gb2a = _backward(params, cache_a, gA)
             gW1b, gb1b, gW2b, gb2b = _backward(params, cache_b, gB)
@@ -511,7 +541,10 @@ def train_embedder(dataset: list[FeatureSequence], config: TrainConfig) -> Train
                     b2=params.b2 - lr * (gb2a + gb2b),
                 )
         except FloatingPointError as exc:
-            videos = f"{dataset[i].video_id!r} and {dataset[j].video_id!r}"
+            videos = " and ".join(
+                repr(dataset[v].video_id) + (f" (frames {r.start}::{r.step})" if r.step > 1 else "")
+                for v, r in ((i, rows_a), (j, rows_b))
+            )
             raise FloatingPointError(f"training step {step} on videos {videos}: {exc}") from None
         trace.append(loss)
     return TrainResult(params=params, loss_trace=trace)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -516,6 +517,101 @@ def test_train_visits_pairs_round_robin(monkeypatch):
     assert lengths == [(6, 7), (6, 8), (7, 8), (6, 7), (6, 8)]
 
 
+def _read_rows(features, step, num_pairs, most):
+    """The rows a training step reads, written out: the whole video when it has
+    at most ``most`` frames, else every stride-th frame from an offset that moves
+    by one with each pass over the pairs."""
+    if len(features) <= most:
+        return features
+    stride = math.ceil(len(features) / most)
+    return features[(step // num_pairs) % stride :: stride]
+
+
+def _videos(lengths, seed, D=3):
+    rng = np.random.default_rng(seed)
+    return [
+        FeatureSequence(video_id=f"v{n}", features=rng.standard_normal((T, D)), fps=1.0)
+        for n, T in enumerate(lengths)
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@example(3, [9, 9, 9], 0)  # P = stride = 3: an offset of step % stride never reads frame 2 of v0
+@given(
+    st.integers(min_value=3, max_value=40),
+    st.lists(st.integers(min_value=2, max_value=120), min_size=2, max_size=4),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_each_step_trains_on_at_most_train_frames_strided_rows(most, lengths, seed):
+    lengths = [2 + (T - 2) % (3 * most - 1) for T in lengths]  # 2 <= T <= 3 * most
+    dataset = _videos(lengths, seed)
+    pairs = [(i, j) for i in range(len(lengths)) for j in range(i + 1, len(lengths))]
+    strides = [math.ceil(T / most) for T in lengths]
+    steps = max(strides) * len(pairs)
+    forward, params_seen, loss_inputs = embed._forward, [], []
+
+    def recording_forward(params, features):
+        params_seen.append(params)
+        return forward(params, features)
+
+    def recording_loss(A, B, config):
+        loss_inputs.append((A, B))
+        return tc3i_loss(A, B, config)
+
+    config = TrainConfig(steps=steps, train_frames=most, seed=seed, hidden_dim=4, embed_dim=3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embed, "_forward", recording_forward)
+        patch.setattr(embed, "tc3i_loss", recording_loss)
+        train_embedder(dataset, config)
+
+    assert len(loss_inputs) == steps
+    trained = [np.zeros(T, dtype=bool) for T in lengths]
+    for step, (A, B) in enumerate(loss_inputs):
+        params = params_seen[2 * step]
+        for v, U in zip(pairs[step % len(pairs)], (A, B)):
+            expected = _read_rows(dataset[v].features, step, len(pairs), most)
+            assert 2 <= len(U) <= most
+            assert np.array_equal(U, forward(params, expected)[0])
+            offset = (step // len(pairs)) % strides[v]
+            if step < strides[v] * len(pairs):
+                trained[v][offset :: strides[v]] = True
+    assert all(frames.all() for frames in trained)
+
+
+def _reference_training(dataset, config):
+    """Plain gradient descent written out: forward, loss, backward, update."""
+    rng = np.random.default_rng(config.seed)
+    params = init_params(dataset[0].feature_dim, config.hidden_dim, config.embed_dim, rng)
+    pairs = [(i, j) for i in range(len(dataset)) for j in range(i + 1, len(dataset))]
+    trace = []
+    for step in range(config.steps):
+        i, j = pairs[step % len(pairs)]
+        rows = [_read_rows(dataset[v].features, step, len(pairs), config.train_frames) for v in (i, j)]
+        A, cache_a = embed._forward(params, rows[0])
+        B, cache_b = embed._forward(params, rows[1])
+        loss, gA, gB = tc3i_loss(A, B, config)
+        grads = zip(embed._backward(params, cache_a, gA), embed._backward(params, cache_b, gB))
+        weights = (params.W1, params.b1, params.W2, params.b2)
+        lr = config.learning_rate
+        params = EmbedderParams(*(w - lr * (ga + gb) for w, (ga, gb) in zip(weights, grads)))
+        trace.append(loss)
+    return params, trace
+
+
+@pytest.mark.parametrize(
+    "lengths, most",
+    [((12, 15, 9), 15), ((30, 45, 17), 10), ((8, 25, 11), 10), ((600, 530), 512)],
+)
+def test_training_matches_a_reference_loop_on_the_rows_it_reads(lengths, most):
+    dataset = _videos(lengths, seed=sum(lengths))
+    config = TrainConfig(steps=9, train_frames=most, seed=4, hidden_dim=5, embed_dim=3)
+    params, trace = _reference_training(dataset, config)
+    result = train_embedder(dataset, config)
+    assert result.loss_trace == trace
+    for name in ("W1", "b1", "W2", "b2"):
+        assert np.array_equal(getattr(result.params, name), getattr(params, name)), name
+
+
 def test_tc3i_and_training_do_not_depend_on_the_cpu_count(cpus):
     rng = np.random.default_rng(31)
     A, B = (rng.standard_normal((T, 5)) for T in (40, 33))
@@ -549,6 +645,18 @@ def test_a_failing_loss_term_on_the_pool_names_the_step_and_videos(cpus, monkeyp
     match = "training step 0 on videos 'v0' and 'v1': non-finite temporal"
     with pytest.raises(FloatingPointError, match=match):
         train_embedder(dataset, TrainConfig(steps=2, seed=1, hidden_dim=6, embed_dim=3))
+
+
+def test_a_training_failure_names_the_frames_a_strided_step_read(monkeypatch):
+    def failing_cidm(U, window, margin):
+        raise FloatingPointError("non-finite temporal-coherence gradient")
+
+    monkeypatch.setattr(embed, "cidm_loss", failing_cidm)
+    dataset = _videos((7, 3, 9), seed=5)
+    config = TrainConfig(steps=1, train_frames=3, seed=1, hidden_dim=4, embed_dim=3)
+    match = r"step 0 on videos 'v0' \(frames 0::3\) and 'v1': non-finite temporal"
+    with pytest.raises(FloatingPointError, match=match):
+        train_embedder(dataset, config)
 
 
 def test_train_reduces_loss_on_planted_data():
@@ -588,6 +696,9 @@ def test_train_config_validation():
             TrainConfig(learning_rate=rate)
     with pytest.raises(ValueError, match="steps"):
         TrainConfig(steps=-1)
+    with pytest.raises(ValueError, match="train_frames"):
+        TrainConfig(train_frames=2)
+    assert TrainConfig(train_frames=3).train_frames == 3
 
 
 # ---------------------------------------------------------------------------
