@@ -30,10 +30,10 @@ block and column-side gradient terms add up across blocks. The coherence
 weights depend only on the index gap, so each block reads them as windows
 of two length-(2T-1) profiles. Videos of up to 256 frames are one block.
 
-A training step reads at most ``TrainConfig.train_frames`` (F) frames of each
-video: a longer video is read at a stride whose offset moves by one with each
-pass over the video pairs, so a step costs O(F^2) at any video length and
-every frame is read in turn. ``embed_sequence`` always embeds every frame.
+A training step reads at most _TRAIN_FRAMES (F) frames of each video: a
+longer video is read at a stride whose offset moves by one with each pass
+over the video pairs, so a step costs O(F^2) at any video length and every
+frame is read in turn. ``embed_sequence`` always embeds every frame.
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ from .core import (
     _write_binary,
     setting,
 )
+
+# Most frames of each video that one training step reads. At least 3, so that
+# every strided read holds the 2 frames ``cidm_loss`` needs.
+_TRAIN_FRAMES = 512
 
 PARAMS_MAGIC = b"CNCP"
 PARAMS_VERSION = 1
@@ -119,17 +123,15 @@ class EmbedderParams:
 class TrainConfig:
     """Hyperparameters for embedder training.
 
-    ``train_frames`` bounds the frames of each video that one training step
-    reads (see ``train_embedder``); inference embeds every frame whatever its
-    value. ``temperature`` scales the soft-match softmax, ``variance_weight``
-    and ``variance_floor`` control the regression variance term, and the
-    three ``cidm_*`` knobs control the temporal-coherence regularizer. The
-    regularizer's window and pair weights count the frames a step reads, so
-    on a video read at a stride a gap of 1 is ``stride`` frames apart.
+    ``temperature`` scales the soft-match softmax, ``variance_weight`` and
+    ``variance_floor`` control the regression variance term, and the three
+    ``cidm_*`` knobs control the temporal-coherence regularizer. The
+    regularizer's window and pair weights count the frames a training step
+    reads, so on a video read at a stride (see ``train_embedder``) a gap of 1
+    is ``stride`` frames apart.
     """
 
     steps: int = setting(500, "training steps")
-    train_frames: int = setting(512, "most frames of each video one training step reads")
     learning_rate: float = setting(1e-2, "gradient descent rate")
     temperature: float = setting(0.1, "cycle-consistency softmax temperature")
     variance_weight: float = setting(1e-3, "weight of the log-variance term")
@@ -144,8 +146,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.train_frames < 3:
-            raise ValueError(f"train_frames must be >= 3, got {self.train_frames}")
         if not (self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not (self.temperature > 0):
@@ -179,8 +179,11 @@ def init_params(D: int, H: int, E: int, rng: np.random.Generator) -> EmbedderPar
     )
 
 
-def _forward(params: EmbedderParams, features: np.ndarray):
-    """MLP forward over all rows; returns embeddings plus cached activations."""
+def _forward(params: EmbedderParams, features: np.ndarray, frames: range | None = None):
+    """MLP forward over all rows; returns embeddings plus cached activations.
+
+    ``frames`` gives the video frame of each row for error messages; by
+    default row r is frame r."""
     pre = features @ params.W1.T + params.b1
     hidden = np.tanh(pre)
     out = hidden @ params.W2.T + params.b2
@@ -188,10 +191,12 @@ def _forward(params: EmbedderParams, features: np.ndarray):
         norms = np.linalg.norm(out, axis=1)
     if not np.isfinite(norms).all():
         row = int(np.flatnonzero(~np.isfinite(norms))[0])
-        raise FloatingPointError(f"non-finite embedding norm at frame {row}")
+        frame = row if frames is None else frames[row]
+        raise FloatingPointError(f"non-finite embedding norm at frame {frame}")
     if np.any(norms == 0.0):
         row = int(np.flatnonzero(norms == 0.0)[0])
-        raise ValueError(f"zero-norm embedding before normalization at frame {row}")
+        frame = row if frames is None else frames[row]
+        raise ValueError(f"zero-norm embedding before normalization at frame {frame}")
     embedded = out / norms[:, None]
     return embedded, (features, hidden, out, norms, embedded)
 
@@ -493,14 +498,14 @@ def train_embedder(dataset: list[FeatureSequence], config: TrainConfig) -> Train
     Step s trains on pair s mod P of the P video pairs (i, j), i < j, taken
     in order: it embeds the frames of both videos that it reads, evaluates the
     combined loss on them, and applies its exact gradient. A video of T frames
-    is read whole when T <= ``config.train_frames`` (F), and otherwise at
-    stride ceil(T / F) from offset (s // P) % stride, so a step costs at most
-    O(F^2) whatever the video lengths, and every frame is read within
-    stride * P steps. The loss trace holds each step's loss on the frames it
-    read and is reproducible bit-for-bit for a fixed seed. A numeric failure,
-    an overflowing update included, names the step and both videos, with the
-    frames read from a strided one; a frame number in its message counts
-    those frames.
+    is read whole when T <= _TRAIN_FRAMES (F), and otherwise at stride
+    ceil(T / F) from offset (s // P) % stride, so a step costs at most O(F^2)
+    whatever the video lengths, and every frame is read within stride * P
+    steps. The loss trace holds each step's loss on the frames it read and is
+    reproducible bit-for-bit for a fixed seed. A numeric failure, an
+    overflowing update included, names the step and both videos, with the
+    frames read from a strided one; an embedding failure names the frame of
+    the video.
     """
     if len(dataset) < 2:
         raise ValueError(f"training needs at least two videos, got {len(dataset)}")
@@ -522,12 +527,15 @@ def train_embedder(dataset: list[FeatureSequence], config: TrainConfig) -> Train
     for step in range(config.steps):
         i, j = pairs[step % len(pairs)]
         rows_a, rows_b = (
-            _train_rows(dataset[v].num_frames, step, len(pairs), config.train_frames)
-            for v in (i, j)
+            _train_rows(dataset[v].num_frames, step, len(pairs), _TRAIN_FRAMES) for v in (i, j)
         )
         try:
-            A, cache_a = _forward(params, dataset[i].features[rows_a])
-            B, cache_b = _forward(params, dataset[j].features[rows_b])
+            A, cache_a = _forward(
+                params, dataset[i].features[rows_a], range(dataset[i].num_frames)[rows_a]
+            )
+            B, cache_b = _forward(
+                params, dataset[j].features[rows_b], range(dataset[j].num_frames)[rows_b]
+            )
             loss, gA, gB = tc3i_loss(A, B, config)
             gW1a, gb1a, gW2a, gb2a = _backward(params, cache_a, gA)
             gW1b, gb1b, gW2b, gb2b = _backward(params, cache_b, gB)

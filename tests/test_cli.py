@@ -411,30 +411,13 @@ def test_run_all_rejects_a_task_name_the_manifest_cannot_store(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag",
-    [
-        ("--smoothness", "-1"),
-        ("--kmeans_restarts", "0"),
-        ("--learning_rate", "0"),
-        ("--train_frames", "2"),
-    ],
+    "flag", [("--smoothness", "-1"), ("--kmeans_restarts", "0"), ("--learning_rate", "0")]
 )
 def test_run_all_checks_every_stage_setting_before_it_writes(tmp_path, capsys, flag):
     out = tmp_path / "out"
     assert _run("run-all", out, *flag) == 5
     assert flag[0][2:] in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_train_frames_above_every_video_length_changes_no_byte(tmp_path):
-    trees = {}
-    for name, frames in (("default", ()), ("all", ("1000000",)), ("strided", ("15",))):
-        out = tmp_path / name
-        extra = ("--frames_per_video", "40", "--num_videos", "3", "--steps", "6")
-        assert _run("run-all", out, *extra, *(("--train_frames", *frames) if frames else ())) == 0
-        trees[name] = _tree(out)
-    assert trees["all"] == trees["default"]
-    assert trees["strided"]["loss_trace.csv"] != trees["default"]["loss_trace.csv"]
 
 
 def _rename_manifest_row(manifest: Path, row: int, video_id: str) -> None:

@@ -542,7 +542,7 @@ def _videos(lengths, seed, D=3):
     st.lists(st.integers(min_value=2, max_value=120), min_size=2, max_size=4),
     st.integers(min_value=0, max_value=2**16),
 )
-def test_each_step_trains_on_at_most_train_frames_strided_rows(most, lengths, seed):
+def test_each_step_trains_on_at_most_f_strided_rows_of_each_video(most, lengths, seed):
     lengths = [2 + (T - 2) % (3 * most - 1) for T in lengths]  # 2 <= T <= 3 * most
     dataset = _videos(lengths, seed)
     pairs = [(i, j) for i in range(len(lengths)) for j in range(i + 1, len(lengths))]
@@ -550,16 +550,17 @@ def test_each_step_trains_on_at_most_train_frames_strided_rows(most, lengths, se
     steps = max(strides) * len(pairs)
     forward, params_seen, loss_inputs = embed._forward, [], []
 
-    def recording_forward(params, features):
+    def recording_forward(params, features, frames=None):
         params_seen.append(params)
-        return forward(params, features)
+        return forward(params, features, frames)
 
     def recording_loss(A, B, config):
         loss_inputs.append((A, B))
         return tc3i_loss(A, B, config)
 
-    config = TrainConfig(steps=steps, train_frames=most, seed=seed, hidden_dim=4, embed_dim=3)
+    config = TrainConfig(steps=steps, seed=seed, hidden_dim=4, embed_dim=3)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embed, "_TRAIN_FRAMES", most)
         patch.setattr(embed, "_forward", recording_forward)
         patch.setattr(embed, "tc3i_loss", recording_loss)
         train_embedder(dataset, config)
@@ -578,7 +579,7 @@ def test_each_step_trains_on_at_most_train_frames_strided_rows(most, lengths, se
     assert all(frames.all() for frames in trained)
 
 
-def _reference_training(dataset, config):
+def _reference_training(dataset, config, most):
     """Plain gradient descent written out: forward, loss, backward, update."""
     rng = np.random.default_rng(config.seed)
     params = init_params(dataset[0].feature_dim, config.hidden_dim, config.embed_dim, rng)
@@ -586,7 +587,7 @@ def _reference_training(dataset, config):
     trace = []
     for step in range(config.steps):
         i, j = pairs[step % len(pairs)]
-        rows = [_read_rows(dataset[v].features, step, len(pairs), config.train_frames) for v in (i, j)]
+        rows = [_read_rows(dataset[v].features, step, len(pairs), most) for v in (i, j)]
         A, cache_a = embed._forward(params, rows[0])
         B, cache_b = embed._forward(params, rows[1])
         loss, gA, gB = tc3i_loss(A, B, config)
@@ -602,10 +603,11 @@ def _reference_training(dataset, config):
     "lengths, most",
     [((12, 15, 9), 15), ((30, 45, 17), 10), ((8, 25, 11), 10), ((600, 530), 512)],
 )
-def test_training_matches_a_reference_loop_on_the_rows_it_reads(lengths, most):
+def test_training_matches_a_reference_loop_on_the_rows_it_reads(monkeypatch, lengths, most):
+    monkeypatch.setattr(embed, "_TRAIN_FRAMES", most)
     dataset = _videos(lengths, seed=sum(lengths))
-    config = TrainConfig(steps=9, train_frames=most, seed=4, hidden_dim=5, embed_dim=3)
-    params, trace = _reference_training(dataset, config)
+    config = TrainConfig(steps=9, seed=4, hidden_dim=5, embed_dim=3)
+    params, trace = _reference_training(dataset, config, most)
     result = train_embedder(dataset, config)
     assert result.loss_trace == trace
     for name in ("W1", "b1", "W2", "b2"):
@@ -651,12 +653,32 @@ def test_a_training_failure_names_the_frames_a_strided_step_read(monkeypatch):
     def failing_cidm(U, window, margin):
         raise FloatingPointError("non-finite temporal-coherence gradient")
 
+    monkeypatch.setattr(embed, "_TRAIN_FRAMES", 3)
     monkeypatch.setattr(embed, "cidm_loss", failing_cidm)
     dataset = _videos((7, 3, 9), seed=5)
-    config = TrainConfig(steps=1, train_frames=3, seed=1, hidden_dim=4, embed_dim=3)
+    config = TrainConfig(steps=1, seed=1, hidden_dim=4, embed_dim=3)
     match = r"step 0 on videos 'v0' \(frames 0::3\) and 'v1': non-finite temporal"
     with pytest.raises(FloatingPointError, match=match):
         train_embedder(dataset, config)
+
+
+def test_a_strided_embedding_failure_names_the_frame_of_the_video(monkeypatch):
+    # Only frame 3 of v0 has a nonzero hidden layer, and its output norm overflows;
+    # read at stride 3 it is row 1 of the step.
+    def overflowing_params(D, H, E, rng):
+        return EmbedderParams(np.ones((H, D)), np.zeros(H), np.full((E, H), 2e307), np.ones(E))
+
+    monkeypatch.setattr(embed, "_TRAIN_FRAMES", 3)
+    monkeypatch.setattr(embed, "init_params", overflowing_params)
+    features = np.zeros((7, 2))
+    features[3] = 1.0
+    dataset = [
+        FeatureSequence(video_id="v0", features=features, fps=1.0),
+        FeatureSequence(video_id="v1", features=np.zeros((3, 2)), fps=1.0),
+    ]
+    match = r"videos 'v0' \(frames 0::3\) and 'v1': non-finite embedding norm at frame 3$"
+    with pytest.raises(FloatingPointError, match=match):
+        train_embedder(dataset, TrainConfig(steps=1, hidden_dim=4, embed_dim=3))
 
 
 def test_train_reduces_loss_on_planted_data():
@@ -696,9 +718,6 @@ def test_train_config_validation():
             TrainConfig(learning_rate=rate)
     with pytest.raises(ValueError, match="steps"):
         TrainConfig(steps=-1)
-    with pytest.raises(ValueError, match="train_frames"):
-        TrainConfig(train_frames=2)
-    assert TrainConfig(train_frames=3).train_frames == 3
 
 
 # ---------------------------------------------------------------------------
