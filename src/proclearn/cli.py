@@ -396,7 +396,22 @@ def run(argv: list[str] | None = None) -> None:
     _COMMANDS[args.command][0](_Run(cfg, explicit))
 
 
+def _pin_blas() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, whose products round the same
+    on any CPU count; a numpy built on another BLAS keeps its own setting."""
+    import ctypes
+
+    try:
+        blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        set_threads = blas.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _pin_blas()
     try:
         run(argv)
     except Exception as exc:

@@ -20,17 +20,16 @@ Each file family has one reader and one writer here, used by every module:
 atomic ``_write_file`` (a temp file in the target's directory, then a rename).
 
 Everything here is a pure function over immutable inputs; values are safe
-to share across threads for reading. ``_parallel_map`` is the one way the
-package uses more than one CPU: it runs a stage's independent jobs on the
-calling thread and a shared pool of threads, and yields their results in
-order.
+to share across threads for reading. ``_parallel_map`` is the package's one
+source of threads: it runs a stage's independent jobs on the calling thread
+and threads it starts for that call, yields their results in order, and joins
+its threads before it returns.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -105,11 +104,6 @@ def _write_file(path: str | Path, data: str | bytes) -> None:
 # Concurrency
 # ---------------------------------------------------------------------------
 
-_pool_key = None  # (pid, CPU count) the pool below was made for
-_pool = None
-_pool_lock = threading.Lock()
-_job_thread = threading.local()  # .active is set while the thread runs a job
-
 
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
@@ -117,20 +111,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def _shared_pool(n: int):
-    """The process's pool of n - 1 threads, made on first use, when n changes
-    and after a fork (a child holds its parent's pool object but none of its
-    threads). A replaced pool's threads exit once no caller holds it."""
-    global _pool, _pool_key
-    with _pool_lock:
-        if _pool_key != (os.getpid(), n):
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(n - 1, thread_name_prefix="proclearn")
-            _pool_key = (os.getpid(), n)
-        return _pool
 
 
 # Threads overlap only inside numpy operations, which release the interpreter
@@ -146,34 +126,30 @@ def _parallel_map(fn, items, entries: int):
     """Yield ``fn(x)`` for each of ``items``, in item order, using every CPU.
 
     With n = ``_cpu_count()``, the calling thread runs items 0, n, 2n, ... itself
-    and a shared pool of n - 1 threads runs the rest; at most 2n items are in
-    flight. Every job runs under the caller's numpy error state. A job that
+    and n - 1 threads started for this call run the rest; at most 2n items are
+    in flight. Every job runs under the caller's numpy error state. A job that
     raises stops the map: unstarted jobs are cancelled, running ones awaited,
-    and the first failing item's exception is raised. With n = 1, for a call
-    made from inside a job, and when the jobs' typical operation covers fewer
-    than ``_MIN_PARALLEL_ENTRIES`` array ``entries``, the jobs run in order in
-    the calling thread. Callers combine the results in item order, so results
-    do not depend on n.
+    and the first failing item's exception is raised. The threads are joined
+    before the map returns, raises or is closed, so none outlives the call.
+    With n = 1, and when the jobs' typical operation covers fewer than
+    ``_MIN_PARALLEL_ENTRIES`` array ``entries``, the jobs run in order in the
+    calling thread. Callers combine the results in item order, so results do
+    not depend on n. This is the package's one source of threads.
     """
     items = list(items)
     n = _cpu_count()
-    small = entries < _MIN_PARALLEL_ENTRIES or len(items) < 2
-    if n < 2 or small or getattr(_job_thread, "active", False):
+    if n < 2 or entries < _MIN_PARALLEL_ENTRIES or len(items) < 2:
         yield from map(fn, items)
         return
     errors = np.geterr()
 
     def job(item):
-        _job_thread.active = True
-        try:
-            with np.errstate(**errors):
-                return fn(item)
-        finally:
-            _job_thread.active = False
+        with np.errstate(**errors):
+            return fn(item)
 
-    from concurrent.futures import wait
+    from concurrent.futures import ThreadPoolExecutor
 
-    pool = _shared_pool(n)
+    pool = ThreadPoolExecutor(n - 1, thread_name_prefix="proclearn")
     pending, submitted = {}, 0
     try:
         for i, item in enumerate(items):
@@ -183,9 +159,7 @@ def _parallel_map(fn, items, entries: int):
             submitted = i + 2 * n
             yield pending.pop(i).result() if i % n else job(item)
     finally:
-        for future in pending.values():
-            future.cancel()
-        wait(pending.values())
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)

@@ -341,6 +341,22 @@ def test_run_all_is_byte_reproducible(tmp_path):
     assert _tree(first) == _tree(second)
 
 
+def test_run_all_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # At 400 frames OpenBLAS on 2 threads rounds some products differently
+    # than on 1 (at 200 it does not), so the CLI must pin it to one.
+    args = ["--seed", "3", "--num_videos", "8", "--steps", "30", "--frames_per_video", "400"]
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        command = [sys.executable, "-m", "proclearn.cli", "run-all", "--out", str(out), *args]
+        result = subprocess.run(command, capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        trees.append(_tree(out))
+    assert trees[0] == trees[1]
+
+
 def test_run_all_with_relative_out(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _run("run-all", "demo") == 0

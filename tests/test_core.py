@@ -41,6 +41,9 @@ from proclearn.core import (
     _csv_rows,
     _csv_text,
 )
+from proclearn.embed import TrainConfig, embed_sequence, train_embedder
+from proclearn.procut import PcmConfig, localize
+from proclearn.synthbench import SynthSpec, generate
 
 
 def _sequence(T=4, D=3, fps=2.0, video_id="v0", seed=0):
@@ -612,15 +615,13 @@ def test_parallel_map_raises_the_failure_of_the_first_item_in_order(cpus):
         _pmap(job, range(4))
 
 
-def test_parallel_map_runs_a_call_from_inside_a_job_inline(cpus):
+def test_parallel_map_called_from_inside_a_job_returns_its_values(cpus):
     cpus(2)
 
     def outer(i):
-        here = threading.get_ident()
-        inner = _pmap(lambda j: (i * 10 + j, threading.get_ident()), range(4))
-        return [value for value, thread in inner if thread == here]
+        return _pmap(lambda j: i * 10 + j, range(4))
 
-    results = []  # a nested call that waited on the busy pool would hang: bound it
+    results = []  # a nested call that waited on its caller's threads would hang: bound it
     runner = threading.Thread(target=lambda: results.append(_pmap(outer, range(3))), daemon=True)
     runner.start()
     runner.join(30)
@@ -642,16 +643,14 @@ def test_parallel_map_jobs_run_under_the_callers_error_state(cpus):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_parallel_map_replaces_a_pool_made_before_a_fork(cpus):
+def test_parallel_map_in_a_child_forked_after_a_map_completes(cpus):
     cpus(2)
     assert _pmap(abs, [-1, -2, -3]) == [1, 2, 3]
-    parent_pool = core._pool
     pid = os.fork()
-    if pid == 0:  # child: the parent's pool has no threads here
+    if pid == 0:
         code = 1
         try:
-            ok = _pmap(abs, [-4, -5, -6]) == [4, 5, 6]
-            code = 0 if ok and core._pool is not parent_pool else 1
+            code = 0 if _pmap(abs, [-4, -5, -6]) == [4, 5, 6] else 1
         finally:
             os._exit(code)
     deadline = time.monotonic() + 30
@@ -660,9 +659,49 @@ def test_parallel_map_replaces_a_pool_made_before_a_fork(cpus):
     if done[0] == 0:
         os.kill(pid, 9)
         os.waitpid(pid, 0)
-        pytest.fail("the forked child hung on its parent's pool")
+        pytest.fail("the forked child's map hung")
     assert os.waitstatus_to_exitcode(done[1]) == 0
-    assert core._pool is parent_pool
+
+
+def _map_that_finishes():
+    names = _pmap(lambda i: threading.current_thread().name, range(4))
+    assert names[1].startswith("proclearn")  # the map did start a thread
+
+
+def _map_whose_job_raises():
+    with pytest.raises(KeyError):
+        _pmap(lambda i: {}[i], range(4))
+
+
+def _map_closed_after_its_first_result():
+    results = core._parallel_map(abs, [-1, -2, -3, -4], 1)
+    assert next(results) == 1
+    results.close()
+
+
+def _training_and_localization():
+    dataset, annotation = generate(SynthSpec(num_videos=3, frames_per_video=40, seed=2))
+    params = train_embedder(dataset, TrainConfig(steps=2, seed=3)).params
+    embeddings = {seq.video_id: embed_sequence(params, seq) for seq in dataset}
+    localize(embeddings, PcmConfig(K=annotation.K, seed=4))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        _map_that_finishes,
+        _map_whose_job_raises,
+        _map_closed_after_its_first_result,
+        _training_and_localization,
+    ],
+)
+def test_parallel_map_leaves_no_thread_running(cpus, call):
+    cpus(2)
+    before = threading.enumerate()
+    call()
+    after = threading.enumerate()
+    assert after == before
+    assert [t.name for t in after if t.name.startswith("proclearn")] == []
 
 
 def test_importing_proclearn_imports_no_pool_and_starts_no_thread():
