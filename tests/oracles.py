@@ -150,6 +150,33 @@ def correspondence_scores_serial(videos):
 
 
 # ---------------------------------------------------------------------------
+# k-means seeding
+# ---------------------------------------------------------------------------
+
+
+def kmeans_seed_oracle(points, K, rng):
+    """Indices of K kmeans++ seeds, with distances from row differences.
+
+    The first index is ``rng.integers(n)``. Each later one is
+    ``rng.choice(n, p=d2 / d2.sum())``, d2 being every point's squared
+    distance to its nearest seed so far, or ``rng.integers(n)`` when d2 sums
+    to 0.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.array([np.sum((x - points[chosen[0]]) ** 2) for x in points])
+    for _ in range(1, K):
+        mass = d2.sum()
+        if mass > 0:
+            chosen.append(int(rng.choice(n, p=d2 / mass)))
+        else:
+            chosen.append(int(rng.integers(n)))
+        d2 = np.minimum(d2, [np.sum((x - points[chosen[-1]]) ** 2) for x in points])
+    return chosen
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive combinatorial solvers
 # ---------------------------------------------------------------------------
 

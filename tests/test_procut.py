@@ -13,9 +13,11 @@ from oracles import (
     chain_min_marginals,
     chain_n_links,
     correspondence_scores_oracle,
+    kmeans_seed_oracle,
 )
 from proclearn import procut
 from proclearn.procut import (
+    _kmeans_seed,
     _nearest_centroids,
     CutResult,
     EnergyGraph,
@@ -114,9 +116,10 @@ def test_scores_do_not_depend_on_the_cpu_count(cpus):
         return M / np.linalg.norm(M, axis=1, keepdims=True)
 
     ragged = [unit(int(T)) for T in rng.integers(1, 90, size=7)]
-    # 620 x 530 frame pairs exceed 2^18: the product is taken in row blocks,
-    # which may round differently from one whole product.
+    # 620 x 530 frame pairs exceed the block size: the product is taken in
+    # row blocks, which may round differently from one whole product.
     blocked = [unit(620), unit(530), unit(40)]
+    assert 620 * 530 > procut._SCORE_BLOCK_ENTRIES
     for videos in (ragged, blocked):
         serial = correspondence_scores_serial(videos)
         runs = []
@@ -130,6 +133,25 @@ def test_scores_do_not_depend_on_the_cpu_count(cpus):
                 assert np.array_equal(got, expected)
             else:
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+
+def test_scores_peak_memory_stays_below_three_row_blocks():
+    # Two 3000-frame videos: one whole product would take 72 MB. A job holds
+    # at most two row blocks at once (the next product is made before the
+    # last is freed); the third covers the per-frame vectors.
+    rng = np.random.default_rng(31)
+    videos = []
+    for _ in range(2):
+        M = rng.standard_normal((3000, 16))
+        videos.append(M / np.linalg.norm(M, axis=1, keepdims=True))
+    tracemalloc.start()
+    try:
+        correspondence_scores(videos)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    inputs = sum(M.nbytes for M in videos)
+    assert peak < 3 * procut._SCORE_BLOCK_ENTRIES * 8 + inputs
 
 
 def test_scores_errors_name_the_video():
@@ -456,6 +478,29 @@ def test_cluster_is_a_direct_distance_fixed_point(offset):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         own = d2[np.arange(len(labels)), labels - 1]
         assert (own - d2.min(axis=1)).max() <= 1e-12
+
+
+def _seed_inputs():
+    rng = np.random.default_rng(32)
+    unit = rng.standard_normal((300, 8))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    offset = rng.standard_normal((300, 2)) * 0.5 + 50.0 + rng.integers(0, 3, size=(300, 1))
+    # 4 distinct rows, so seeds past the fourth are drawn with every
+    # distance at 0.
+    duplicated = rng.standard_normal((4, 8))[rng.integers(0, 4, size=300)]
+    return {"unit-norm": unit, "offset-50": offset, "duplicated": duplicated}
+
+
+@pytest.mark.parametrize("name", ["unit-norm", "offset-50", "duplicated"])
+def test_kmeans_seed_draws_the_points_of_direct_differences(name):
+    points = _seed_inputs()[name]
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    for K in (1, 2, 6):
+        for seed in range(20):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _kmeans_seed(points, sq_norms, K, rng)
+            np.testing.assert_array_equal(got, points[kmeans_seed_oracle(points, K, oracle_rng)])
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_nearest_centroids_match_direct_argmin_on_bisectors():
