@@ -19,6 +19,12 @@ Stage seeding: generation uses the seed as given, training uses seed + 1,
 and localization (cut clustering and baselines) uses seed + 2, so stages
 draw from unrelated streams.
 
+Process policy: ``main`` runs numpy's bundled OpenBLAS on one thread, so
+products round the same on any CPU count, and on glibc keeps freed memory on
+the heap, so a training step reuses the last step's temporaries instead of
+faulting fresh pages in. Library callers keep their own BLAS setting and
+allocator.
+
 Exit codes: 0 success; each failure's code, stderr prefix and --help line
 come from the one table ``_FAILURES``.
 """
@@ -396,22 +402,45 @@ def run(argv: list[str] | None = None) -> None:
     _COMMANDS[args.command][0](_Run(cfg, explicit))
 
 
-def _pin_blas() -> None:
-    """Run numpy's bundled OpenBLAS on one thread, whose products round the same
-    on any CPU count; a numpy built on another BLAS keeps its own setting."""
+# glibc's mallopt parameters (malloc.h) and the values main sets: blocks up
+# to 32 MB (glibc's largest mmap threshold on 64-bit) come from the heap, and
+# up to 3 MB free at its top stay there. Of the trim thresholds swept, 3 MB is
+# the smallest that keeps a training step from faulting pages back in on
+# 5x200, 30x200, 10x512 and 10x1000 frames (2.5 MB left 22 faults a step on
+# 30x200, 2 MB 930 on 10x1000); glibc's default policy left 510 on 5x200.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _set_process_policy() -> None:
+    """Set the process-wide policies the command's speed and bytes depend on.
+
+    numpy's bundled OpenBLAS runs on one thread, whose products round the same
+    on any CPU count. glibc's malloc keeps freed memory on the heap, so each
+    training step reuses the last step's temporaries instead of faulting fresh
+    pages in. A numpy built on another BLAS, or a libc without ``mallopt``,
+    keeps its own setting.
+    """
     import ctypes
 
     try:
         blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
         set_threads = blas.scipy_openblas_set_num_threads64_
     except (AttributeError, OSError):
+        pass
+    else:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # TypeError: Windows loads no CDLL(None)
         return
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    set_threads(1)
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 3 << 20)
 
 
 def main(argv: list[str] | None = None) -> int:
-    _pin_blas()
+    _set_process_policy()
     try:
         run(argv)
     except Exception as exc:

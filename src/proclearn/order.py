@@ -45,7 +45,8 @@ def keystep_order(assignment: KeyStepAssignment) -> KeyStepOrder:
         if T == 0:
             continue
         positions = np.zeros(T) if T == 1 else np.arange(T) / (T - 1)
-        for label in np.unique(labels):
+        # bincount, not np.unique, which imports numpy.ma (over 1 MB of RSS).
+        for label in np.flatnonzero(np.bincount(labels)):
             if label == 0:
                 continue
             mask = labels == label

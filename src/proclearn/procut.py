@@ -196,15 +196,18 @@ _SCORE_BLOCK_ENTRIES = 1 << 17
 def _partner_maxima(mats: list[np.ndarray], v: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Row and column maxima of ``mats[v] @ mats[w].T`` for each w > v, in order.
 
-    The product is taken in row blocks of at most ``_SCORE_BLOCK_ENTRIES`` entries.
+    The product is taken in row blocks of at most ``_SCORE_BLOCK_ENTRIES`` entries,
+    each written over the last in one buffer per partner.
     """
     E = mats[v]
     partners = []
     for F in mats[v + 1 :]:
         step = max(1, _SCORE_BLOCK_ENTRIES // len(F))
+        block = np.empty((min(step, len(E)), len(F)))
         row_max, col_max = np.empty(len(E)), np.full(len(F), -np.inf)
         for start in range(0, len(E), step):
-            product = E[start : start + step] @ F.T
+            rows = E[start : start + step]
+            product = np.matmul(rows, F.T, out=block[: len(rows)])
             row_max[start : start + step] = product.max(axis=1)
             np.maximum(col_max, product.max(axis=0), out=col_max)
         partners.append((row_max, col_max))

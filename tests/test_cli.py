@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -355,6 +356,40 @@ def test_run_all_does_not_depend_on_the_blas_thread_count(tmp_path):
         assert result.returncode == 0, result.stderr
         trees.append(_tree(out))
     assert trees[0] == trees[1]
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except TypeError:  # Windows loads no CDLL(None)
+        return False
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_run_all_keeps_its_heap_between_steps_and_skips_numpy_ma(tmp_path):
+    # On glibc's default policy the heap's freed top goes back to the OS after
+    # each training step and the next step faults it in again: hundreds of
+    # faults a step on the default task, against about 1 with the CLI's policy.
+    # -X importtime lists every module the run imports, lazy ones included.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    faults = {}
+    for steps in (10, 60):
+        out = tmp_path / f"steps{steps}"
+        command = [sys.executable, "-X", "importtime", "-m", "proclearn.cli", "run-all",
+                   "--out", str(out), "--steps", str(steps)]
+        with open(tmp_path / f"steps{steps}.stderr", "w+") as err:
+            proc = subprocess.Popen(command, stdout=subprocess.DEVNULL, stderr=err, env=env)
+            _, status, usage = os.wait4(proc.pid, 0)
+            err.seek(0)
+            stderr = err.read()
+        assert os.waitstatus_to_exitcode(status) == 0, stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "numpy" in imported and "numpy.ma" not in imported
+        faults[steps] = usage.ru_minflt
+    if _libc_has_mallopt():
+        assert (faults[60] - faults[10]) / 50 < 10, faults
 
 
 def test_run_all_with_relative_out(tmp_path, monkeypatch):

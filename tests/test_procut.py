@@ -135,10 +135,10 @@ def test_scores_do_not_depend_on_the_cpu_count(cpus):
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
 
-def test_scores_peak_memory_stays_below_three_row_blocks():
+def test_scores_peak_memory_stays_below_two_row_blocks():
     # Two 3000-frame videos: one whole product would take 72 MB. A job holds
-    # at most two row blocks at once (the next product is made before the
-    # last is freed); the third covers the per-frame vectors.
+    # one row block, each written over the last; the second covers the
+    # per-frame vectors.
     rng = np.random.default_rng(31)
     videos = []
     for _ in range(2):
@@ -150,8 +150,7 @@ def test_scores_peak_memory_stays_below_three_row_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    inputs = sum(M.nbytes for M in videos)
-    assert peak < 3 * procut._SCORE_BLOCK_ENTRIES * 8 + inputs
+    assert peak < 2 * procut._SCORE_BLOCK_ENTRIES * 8
 
 
 def test_scores_errors_name_the_video():
