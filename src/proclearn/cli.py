@@ -48,6 +48,7 @@ from .core import (
     ManifestEntry,
     TaskAnnotation,
     TaskManifest,
+    _read_text,
     _write_file,
     annotation_to_assignment,
     format_manifest,
@@ -150,7 +151,7 @@ _KEYS = {spec.name: spec for spec in KEY_SPECS}
 def parse_config_file(path: Path) -> dict[str, str]:
     """Read ``key = value`` lines; full-line # comments and blanks allowed."""
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path, ConfigError).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

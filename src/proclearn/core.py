@@ -18,6 +18,7 @@ Each file family has one reader and one writer here, used by every module:
 6 decimals); ``_binary_fields`` and ``_write_binary`` for the f64 binary files
 (features here, embedder parameters in ``embed``). Every writer ends in the
 atomic ``_write_file`` (a temp file in the target's directory, then a rename).
+Every text file, the CLI's config file too, is read as UTF-8 by ``_read_text``.
 
 Everything here is a pure function over immutable inputs; values are safe
 to share across threads for reading. ``_parallel_map`` is the package's one
@@ -335,8 +336,8 @@ def _parse_header(path: Path, head: bytes, size: int) -> tuple[int, int, float]:
     )
     if T < 1 or D < 1:
         raise FileFormatError(f"{path}: header declares empty matrix ({T} x {D})")
-    if not (fps > 0) or not np.isfinite(fps):
-        raise ValueError(f"{path}: invalid fps {fps}")
+    if not 0 < fps < np.inf:
+        raise FileFormatError(f"{path}: header declares fps {fps}; it must be positive and finite")
     return T, D, fps
 
 
@@ -383,11 +384,19 @@ def _fields(line: str) -> list[str]:
     return line.split(",") if line else []
 
 
+def _read_text(path: Path, error: type[Exception] = FileFormatError) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise ``error`` naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _csv_rows(path: Path, header: str, types: tuple[Callable[[str], object], ...]):
     """A CSV file's header fields and (line number, fields parsed by ``types``) rows.
 
     Blank lines count in line numbers only; ``<name>`` in ``header`` matches anything."""
-    lines = enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+    lines = enumerate(_read_text(path).splitlines(), start=1)
     numbered = [(lineno, parts) for lineno, line in lines if (parts := _fields(line))]
     pattern = header.split(",")
     head = numbered[0][1] if numbered else []
@@ -487,8 +496,8 @@ def segments_to_frame_labels(
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if not (fps > 0):
-        raise ValueError(f"fps must be positive, got {fps}")
+    if not 0 < fps < np.inf:
+        raise ValueError(f"fps must be positive and finite, got {fps}")
     labels = np.zeros(T, dtype=np.int64)
     centers = (np.arange(T) + 0.5) / fps
     for seg in annotation.per_video.get(video_id, []):

@@ -39,7 +39,7 @@ frame is read in turn. ``embed_sequence`` always embeds every frame.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -527,33 +527,25 @@ def train_embedder(dataset: list[FeatureSequence], config: TrainConfig) -> Train
 
     trace: list[float] = []
     for step in range(config.steps):
-        i, j = pairs[step % len(pairs)]
-        rows_a, rows_b = (
-            _train_rows(dataset[v].num_frames, step, len(pairs), _TRAIN_FRAMES) for v in (i, j)
-        )
+        reads = [
+            (dataset[v], _train_rows(dataset[v].num_frames, step, len(pairs), _TRAIN_FRAMES))
+            for v in pairs[step % len(pairs)]
+        ]
         try:
-            A, cache_a = _forward(
-                params, dataset[i].features[rows_a], range(dataset[i].num_frames)[rows_a]
-            )
-            B, cache_b = _forward(
-                params, dataset[j].features[rows_b], range(dataset[j].num_frames)[rows_b]
-            )
+            (A, cache_a), (B, cache_b) = [
+                _forward(params, seq.features[rows], range(seq.num_frames)[rows])
+                for seq, rows in reads
+            ]
             loss, gA, gB = tc3i_loss(A, B, config)
-            gW1a, gb1a, gW2a, gb2a = _backward(params, cache_a, gA)
-            gW1b, gb1b, gW2b, gb2b = _backward(params, cache_b, gB)
+            grads = map(np.add, _backward(params, cache_a, gA), _backward(params, cache_b, gB))
+            weights = (params.W1, params.b1, params.W2, params.b2)
             lr = config.learning_rate
             with np.errstate(over="raise", invalid="raise"):
-                params = replace(
-                    params,
-                    W1=params.W1 - lr * (gW1a + gW1b),
-                    b1=params.b1 - lr * (gb1a + gb1b),
-                    W2=params.W2 - lr * (gW2a + gW2b),
-                    b2=params.b2 - lr * (gb2a + gb2b),
-                )
+                params = EmbedderParams(*(w - lr * g for w, g in zip(weights, grads)))
         except FloatingPointError as exc:
             videos = " and ".join(
-                repr(dataset[v].video_id) + (f" (frames {r.start}::{r.step})" if r.step > 1 else "")
-                for v, r in ((i, rows_a), (j, rows_b))
+                repr(seq.video_id) + (f" (frames {r.start}::{r.step})" if r.step > 1 else "")
+                for seq, r in reads
             )
             raise FloatingPointError(f"training step {step} on videos {videos}: {exc}") from None
         trace.append(loss)

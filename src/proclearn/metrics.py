@@ -190,23 +190,20 @@ def hungarian(cost: np.ndarray) -> tuple[dict[int, int], float]:
     return assignment, total
 
 
-def _check_compatible(pred: KeyStepAssignment, gt: KeyStepAssignment) -> None:
+def _overlap(pred: KeyStepAssignment, gt: KeyStepAssignment) -> np.ndarray:
+    """(K+1) x (K+1) frame counts: entry [p, g] counts frames predicted p with truth g,
+    from one bincount of (K+1) p + g over the task's concatenated frames."""
     if pred.K != gt.K:
         raise ValueError(f"K mismatch: pred {pred.K} vs gt {gt.K}")
     if set(pred.per_video) != set(gt.per_video):
         raise ValueError("pred and gt cover different videos")
-    for video_id in gt.per_video:
-        if len(pred.per_video[video_id]) != len(gt.per_video[video_id]):
+    size = gt.K + 1
+    codes = [np.zeros(0, np.int64)]
+    for video_id, truth in gt.per_video.items():
+        if len(pred.per_video[video_id]) != len(truth):
             raise ValueError(f"frame count mismatch for video {video_id!r}")
-
-
-def _overlap(pred: KeyStepAssignment, gt: KeyStepAssignment) -> np.ndarray:
-    """(K+1) x (K+1) frame counts: entry [p, g] counts frames predicted p with truth g."""
-    _check_compatible(pred, gt)
-    overlap = np.zeros((gt.K + 1, gt.K + 1), dtype=np.int64)
-    for video_id in gt.per_video:
-        np.add.at(overlap, (pred.per_video[video_id], gt.per_video[video_id]), 1)
-    return overlap
+        codes.append(size * pred.per_video[video_id] + truth)
+    return np.bincount(np.concatenate(codes), minlength=size * size).reshape(size, size)
 
 
 def match_labels(pred: KeyStepAssignment, gt: KeyStepAssignment) -> dict[int, int]:

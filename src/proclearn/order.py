@@ -35,26 +35,22 @@ def keystep_order(assignment: KeyStepAssignment) -> KeyStepOrder:
 
     Each labeled frame contributes i / (T - 1) for its video (0 when the
     video has a single frame); positions are averaged per label over all
-    videos. Background never participates; an all-background assignment has
-    nothing to order and is an error.
+    videos. Two bincounts over the task's concatenated frames give each
+    label's frame count and position sum, the sum added in frame order.
+    Background never participates; an all-background assignment has nothing
+    to order and is an error.
     """
-    totals: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for labels in assignment.per_video.values():
-        T = len(labels)
-        if T == 0:
-            continue
-        positions = np.zeros(T) if T == 1 else np.arange(T) / (T - 1)
-        # bincount, not np.unique, which imports numpy.ma (over 1 MB of RSS).
-        for label in np.flatnonzero(np.bincount(labels)):
-            if label == 0:
-                continue
-            mask = labels == label
-            totals[int(label)] = totals.get(int(label), 0.0) + positions[mask].sum()
-            counts[int(label)] = counts.get(int(label), 0) + int(mask.sum())
-    if not counts:
+    # An empty video at the end keeps the concatenation defined on a task of none.
+    videos = [*assignment.per_video.values(), np.zeros(0, np.int64)]
+    labels = np.concatenate(videos)
+    positions = np.concatenate([np.arange(len(v)) / max(len(v) - 1, 1) for v in videos])
+    # bincount, not np.unique, which imports numpy.ma (over 1 MB of RSS).
+    counts = np.bincount(labels)
+    sums = np.bincount(labels, weights=positions)
+    present = np.flatnonzero(counts[1:]) + 1
+    if not present.size:
         raise ValueError("assignment contains no key-step frames to order")
-    means = {label: totals[label] / counts[label] for label in counts}
+    means = {int(label): float(sums[label] / counts[label]) for label in present}
     order = sorted(means, key=lambda label: (means[label], label))
     return KeyStepOrder(order=order, mean_positions=means)
 

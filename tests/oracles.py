@@ -262,6 +262,29 @@ def chain_min_marginals(bg_cost, fg_cost, smoothness):
     return M0, M1
 
 
+def overlap_oracle(pred_by_video, gt_by_video, K):
+    """(K+1) x (K+1) frame counts, one frame at a time."""
+    overlap = np.zeros((K + 1, K + 1), dtype=np.int64)
+    for video_id, truth in gt_by_video.items():
+        for p, g in zip(pred_by_video[video_id], truth):
+            overlap[p, g] += 1
+    return overlap
+
+
+def mean_positions_oracle(per_video):
+    """Mean of i / (T - 1) (0 for a 1-frame video) per key-step label, the
+    positions added one frame at a time in video and frame order."""
+    totals, counts = {}, {}
+    for labels in per_video.values():
+        T = len(labels)
+        for i, label in enumerate(labels):
+            if label == 0:
+                continue
+            totals[int(label)] = totals.get(int(label), 0.0) + (0.0 if T == 1 else i / (T - 1))
+            counts[int(label)] = counts.get(int(label), 0) + 1
+    return {label: totals[label] / counts[label] for label in counts}
+
+
 def brute_force_label_match(pred_flat, gt_flat, K):
     """Lexicographically-first permutation of {0..K} maximizing frame overlap."""
     overlap = np.zeros((K + 1, K + 1))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import dataclass, fields, replace
@@ -91,6 +92,16 @@ def test_config_file_rejects_bad_lines(tmp_path, text):
     config.write_text(text)
     with pytest.raises(ConfigError):
         parse_config_file(config)
+
+
+def test_config_file_is_read_as_utf8(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes("task_name = caf\u00e9\n".encode("utf-8"))
+    assert parse_config_file(config) == {"task_name": "caf\u00e9"}
+    config.write_bytes("task_name = caf\u00e9\n".encode("latin-1"))
+    assert main(["synth", "--out", str(tmp_path / "out"), "--config", str(config)]) == 2
+    assert "run.cfg: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_flags_beat_file_beats_default(tmp_path):
@@ -358,6 +369,25 @@ def test_run_all_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert trees[0] == trees[1]
 
 
+@pytest.mark.skipif(
+    not np.__config__.CONFIG["Build Dependencies"]["blas"]["name"].startswith("scipy-openblas"),
+    reason="numpy is not built on its bundled OpenBLAS",
+)
+def test_the_process_policy_runs_numpys_openblas_on_one_thread():
+    code = (
+        "import ctypes, numpy as np; from proclearn.cli import _set_process_policy; "
+        "lib = ctypes.CDLL(np._core._multiarray_umath.__file__); "
+        "before = lib.scipy_openblas_get_num_threads64_(); _set_process_policy(); "
+        "print(before, lib.scipy_openblas_get_num_threads64_())"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": path}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    before, after = result.stdout.split()
+    assert after == "1", f"{before} threads before the pin, {after} after"
+
+
 def _libc_has_mallopt() -> bool:
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")
@@ -420,6 +450,33 @@ def test_malformed_manifest_exits_4(tmp_path):
     out.mkdir()
     (out / "manifest.csv").write_text("not,a,manifest\njunk\n")
     assert _run("stats", out) == 4
+
+
+@pytest.mark.parametrize("fps", [0.0, float("nan"), float("inf")])
+def test_a_bad_fps_in_a_feature_header_exits_4_naming_the_file(tmp_path, capsys, fps):
+    out = tmp_path / "out"
+    for command in ("synth", "train", "localize"):
+        assert _run(command, out) == 0
+    feature = out / "features" / "video_01.feat"
+    raw = feature.read_bytes()
+    feature.write_bytes(raw[:16] + struct.pack("<d", fps) + raw[24:])
+    capsys.readouterr()
+    for command in ("train", "evaluate", "stats"):
+        assert _run(command, out) == 4
+        assert f"video_01.feat: header declares fps {fps}" in capsys.readouterr().err
+
+
+def test_a_table_that_is_not_utf8_exits_4_naming_the_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("synth", out) == 0
+    capsys.readouterr()
+    binary = out / "features" / "video_00.feat"
+    assert _run("stats", out, "--manifest", str(binary)) == 4
+    assert "video_00.feat: not UTF-8 text" in capsys.readouterr().err
+    annotation = out / "annotations" / "video_01.csv"
+    annotation.write_bytes(annotation.read_bytes() + b"1.0,2.0,1 \xff\n")
+    assert _run("stats", out) == 4
+    assert "video_01.csv: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_invalid_domain_exits_5(tmp_path):

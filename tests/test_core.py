@@ -172,9 +172,10 @@ def test_feature_file_header_errors(tmp_path):
         path.write_bytes(struct.pack("<4sIIId", b"CNCF", 1, 0, 1, 1.0))
         with pytest.raises(FileFormatError):
             load(path)
-        path.write_bytes(struct.pack("<4sIIId", b"CNCF", 1, 1, 1, 0.0) + b"\x00" * 8)
-        with pytest.raises(ValueError, match="fps"):
-            load(path)
+        for fps in (0.0, -1.0, np.nan, np.inf):
+            path.write_bytes(struct.pack("<4sIIId", b"CNCF", 1, 1, 1, fps) + b"\x00" * 8)
+            with pytest.raises(FileFormatError, match=f"bad.feat: header declares fps {fps}"):
+                load(path)
 
 
 def test_feature_file_payload_errors(tmp_path):
@@ -267,8 +268,9 @@ def test_segments_to_frame_labels_validates_and_defaults():
     np.testing.assert_array_equal(segments_to_frame_labels(ann, "missing", 3, 1.0), [0, 0, 0])
     with pytest.raises(ValueError):
         segments_to_frame_labels(ann, "missing", 0, 1.0)
-    with pytest.raises(ValueError):
-        segments_to_frame_labels(ann, "missing", 3, 0.0)
+    for fps in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="fps must be positive and finite"):
+            segments_to_frame_labels(ann, "missing", 3, fps)
 
 
 # ---------------------------------------------------------------------------

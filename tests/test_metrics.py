@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     brute_force_assignment,
     brute_force_label_match,
+    overlap_oracle,
     set_metrics_oracle,
     stats_oracle,
 )
@@ -165,12 +166,25 @@ def test_match_labels_agrees_with_brute_force():
 
 
 def test_match_labels_rejects_mismatches():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="K mismatch: pred 1 vs gt 2"):
         match_labels(_assignment({"a": [0]}, K=1), _assignment({"a": [0]}, K=2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cover different videos"):
         match_labels(_assignment({"a": [0]}, K=2), _assignment({"b": [0]}, K=2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="frame count mismatch for video 'a'"):
         match_labels(_assignment({"a": [0, 1]}, K=2), _assignment({"a": [0]}, K=2))
+
+
+def test_overlap_counts_every_frame_once():
+    rng = np.random.default_rng(23)
+    for K in (1, 3, 6):
+        lengths = [0, 1, *rng.integers(2, 40, size=3)]
+        gt = {f"v{n}": rng.integers(0, K + 1, size=T) for n, T in enumerate(lengths)}
+        pred = {v: rng.integers(0, K + 1, size=len(gt[v])) for v in reversed(gt)}
+        overlap = metrics._overlap(_assignment(pred, K), _assignment(gt, K))
+        assert overlap.dtype == np.int64
+        assert np.array_equal(overlap, overlap_oracle(pred, gt, K))
+    empty = metrics._overlap(_assignment({}, 2), _assignment({}, 2))
+    assert np.array_equal(empty, np.zeros((3, 3), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import mean_positions_oracle
 from proclearn.core import KeyStepAssignment
 from proclearn.order import KeyStepOrder, format_order, keystep_order
 
@@ -87,6 +88,24 @@ def test_order_is_permutation_of_present_labels():
             continue
         order = keystep_order(_assignment(per_video, K=4))
         assert sorted(order.order) == sorted(present)
+
+
+def test_mean_positions_equal_a_frame_by_frame_sum_exactly():
+    # Lengths 0 and 1 are drawn often, and K exceeds the labels drawn, so
+    # empty videos, 1-frame videos and absent labels all occur.
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        per_video = {
+            f"v{n}": rng.integers(0, 4, size=int(rng.choice([0, 1, rng.integers(2, 60)])))
+            for n in range(int(rng.integers(1, 6)))
+        }
+        expected = mean_positions_oracle(per_video)
+        assignment = _assignment(per_video, K=5)
+        if not expected:
+            with pytest.raises(ValueError, match="no key-step frames"):
+                keystep_order(assignment)
+            continue
+        assert keystep_order(assignment).mean_positions == expected
 
 
 def test_format_order_golden():
