@@ -17,6 +17,7 @@ from .core import (
     TaskAnnotation,
     TaskManifest,
     TruncatedFileError,
+    UnreadableFileError,
     load_assignment_file,
     load_feature_header,
     load_features,

@@ -48,6 +48,7 @@ from .core import (
     ManifestEntry,
     TaskAnnotation,
     TaskManifest,
+    UnreadableFileError,
     _read_text,
     _write_file,
     annotation_to_assignment,
@@ -359,7 +360,8 @@ _COMMANDS = {
 _FAILURES: tuple[tuple[tuple[type[Exception], ...], int, str, str], ...] = (
     ((ConfigError,), 2, "config error",
      "usage or configuration error (unknown key, bad value syntax)"),
-    ((FileNotFoundError,), 3, "missing file", "missing input file"),
+    ((FileNotFoundError, UnreadableFileError), 3, "missing or unreadable file",
+     "missing or unreadable input file"),
     ((FileFormatError,), 4, "bad file format", "malformed input file"),
     ((FloatingPointError,), 6, "numeric failure", "numeric failure"),
     ((ValueError, KeyError), 5, "invalid input", "invalid value or domain error"),

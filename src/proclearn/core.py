@@ -18,7 +18,8 @@ Each file family has one reader and one writer here, used by every module:
 6 decimals); ``_binary_fields`` and ``_write_binary`` for the f64 binary files
 (features here, embedder parameters in ``embed``). Every writer ends in the
 atomic ``_write_file`` (a temp file in the target's directory, then a rename).
-Every text file, the CLI's config file too, is read as UTF-8 by ``_read_text``.
+Every input file is opened by ``_open_input``, and every text file, the CLI's
+config file too, is read as UTF-8 by ``_read_text``.
 
 Everything here is a pure function over immutable inputs; values are safe
 to share across threads for reading. ``_parallel_map`` is the package's one
@@ -45,6 +46,7 @@ __all__ = [
     "FileFormatError",
     "TruncatedFileError",
     "AnnotationError",
+    "UnreadableFileError",
     "FeatureSequence",
     "KeyStepSegment",
     "TaskAnnotation",
@@ -75,6 +77,10 @@ class TruncatedFileError(FileFormatError):
 
 class AnnotationError(ValueError):
     """Annotation content violates task constraints."""
+
+
+class UnreadableFileError(OSError):
+    """An input path exists but cannot be read: a directory, say, or no permission."""
 
 
 def setting(default, help: str):
@@ -348,7 +354,7 @@ def load_feature_header(path: str | Path) -> tuple[int, int, float]:
     the payload length comes from the file size.
     """
     path = Path(path)
-    with path.open("rb") as handle:
+    with _open_input(path) as handle:
         head = handle.read(_HEADER.size)
         size = os.fstat(handle.fileno()).st_size
     return _parse_header(path, head, size)
@@ -360,7 +366,7 @@ def load_features(path: str | Path, video_id: str | None = None) -> FeatureSeque
     ``video_id`` defaults to the file's stem.
     """
     path = Path(path)
-    raw = path.read_bytes()
+    raw = _read_bytes(path)
     T, D, fps = _parse_header(path, raw, len(raw))
     feats = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(T, D)
     if not np.isfinite(feats).all():
@@ -384,10 +390,29 @@ def _fields(line: str) -> list[str]:
     return line.split(",") if line else []
 
 
+def _open_input(path: Path):
+    """``path`` opened for reading bytes; every input file is opened here.
+
+    A missing file raises FileNotFoundError, and any other OSError (a
+    directory, a denied permission) ``UnreadableFileError`` naming the path."""
+    try:
+        return path.open("rb")
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise UnreadableFileError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _read_bytes(path: Path) -> bytes:
+    """An input file's contents, opened by ``_open_input``."""
+    with _open_input(path) as handle:
+        return handle.read()
+
+
 def _read_text(path: Path, error: type[Exception] = FileFormatError) -> str:
     """A text file's contents; bytes that are not UTF-8 raise ``error`` naming the file."""
     try:
-        return path.read_text(encoding="utf-8")
+        return _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
@@ -448,10 +473,16 @@ def parse_annotation_file(
 
     Segments must carry labels in 1..K, lie within [0, duration], and be
     pairwise non-overlapping (repeating a label in disjoint segments is fine).
+    A segment that ``KeyStepSegment`` rejects names the file and its line.
     """
     path = Path(path)
     _, rows = _csv_rows(path, ANNOTATION_HEADER, (float, float, int))
-    segments = [KeyStepSegment(*values) for _, values in rows]
+    segments = []
+    for lineno, values in rows:
+        try:
+            segments.append(KeyStepSegment(*values))
+        except AnnotationError as exc:
+            raise AnnotationError(f"{path}:{lineno}: {exc}") from None
     _check_segments(segments, duration, K, str(path))
     return segments
 

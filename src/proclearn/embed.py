@@ -19,16 +19,17 @@ parameter updates during training are strictly sequential. Within one step,
 terms) concurrently on the process's CPUs and adds them in a fixed order.
 
 Both losses take squared distances in Gram form, ||x||^2 + ||y||^2 - 2 x.y
-clamped at 0, so no N x M x E temporary is built. Within one video, pairs
-closer than about 1e-3 of the largest row norm are recomputed from their
-difference, so equal rows get exactly 0 and the coherence gradient keeps
-its precision. A training step computes the A-B distance matrix once and
-shares it between the A-to-B and B-to-A cycles; it is the only full pair
-matrix. Everything else walks the pair matrices in row blocks of at most
-_BLOCK_ENTRIES entries, which stay in cache: per-row work is done within a
-block and column-side gradient terms add up across blocks. The coherence
-weights depend only on the index gap, so each block reads them as windows
-of two length-(2T-1) profiles. Videos of up to 256 frames are one block.
+clamped at 0, from squared norms taken once per call, so no N x M x E
+temporary is built. Within one video, pairs closer than about 1e-3 of the
+largest row norm are recomputed from their difference, so equal rows get
+exactly 0 and the coherence gradient keeps its precision. No loss holds a
+full pair matrix: each walks its pair matrices in row blocks of at most
+_BLOCK_ENTRIES entries, which stay in cache, and builds each block's
+distances itself. Per-row work is done within a block and column-side
+gradient terms add up across blocks, so a loss on T-frame videos holds
+O(T E) memory plus a few blocks at any T. The coherence weights depend only
+on the index gap, so each block reads them as windows of two length-(2T-1)
+profiles. Videos of up to 256 frames are one block.
 
 A training step reads at most _TRAIN_FRAMES (F) frames of each video: a
 longer video is read at a stride whose offset moves by one with each pass
@@ -51,6 +52,7 @@ from .core import (
     _binary_fields,
     _csv_text,
     _parallel_map,
+    _read_bytes,
     _write_binary,
     setting,
 )
@@ -239,16 +241,22 @@ def embed_sequence(params: EmbedderParams, sequence: FeatureSequence) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of each row of X."""
+    return np.einsum("ij,ij->i", X, X)
+
+
+def _sqdist(X: np.ndarray, Y: np.ndarray, x_sq: np.ndarray, y_sq: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of X and Y in Gram form.
 
-    ||x||^2 + ||y||^2 - 2 x.y, clamped at 0 because rounding can leave it a
-    few ulps below. No N x M x E temporary is built.
+    ||x||^2 + ||y||^2 - 2 x.y from the rows' squared norms ``x_sq`` and
+    ``y_sq``, added in that order and clamped at 0 because rounding can
+    leave it a few ulps below. No N x M x E temporary is built.
     """
     d = X @ Y.T
     d *= -2.0
-    d += np.einsum("ij,ij->i", X, X)[:, None]
-    d += np.einsum("ij,ij->i", Y, Y)
+    d += x_sq[:, None]
+    d += y_sq
     return np.maximum(d, 0.0, out=d)
 
 
@@ -299,35 +307,43 @@ def tcc_loss(
     over i and exact gradients with respect to A and B.
 
     Squared distances are taken in Gram form, ||x||^2 + ||y||^2 - 2 x.y
-    clamped at 0, so no N x M x E temporary is built. ``tc3i_loss`` computes
-    the A-B matrix once and gives its transpose to the B-A direction. Beyond
-    that matrix, the loss holds only row blocks of cache size: the N x M
-    soft matches and N x N back-matches are built a block of rows of A at a
-    time.
+    clamped at 0, so no N x M x E temporary is built. No N x M or N x N
+    matrix is held either: the A-B distances, the soft matches and the
+    back-matches are built a cache-sized block of rows of A at a time, so
+    the loss needs O((N + M) E) memory plus a few blocks at any N and M.
     """
     A, B = _as_pair(A, B)
-    return _cycle_back(
-        A, B, _sqdist(A, B), temperature, variance_weight, variance_floor
-    )
+    return _cycle_back(A, B, temperature, variance_weight, variance_floor)
 
 
-def _cycle_back(A, B, dist, temperature, variance_weight, variance_floor):
-    """``tcc_loss`` from the N x M A-B squared distances ``dist`` (left unchanged).
+def _cycle_back(A, B, temperature, variance_weight, variance_floor, reverse=False):
+    """``tcc_loss`` on checked inputs.
 
-    Per-row work runs on row blocks of ``dist`` that stay in cache; the
-    gradient terms of A's and B's columns add up across blocks.
+    Each row block of A computes its own A-B squared distances from squared
+    norms taken once per call; the gradient terms of A's and B's columns add
+    up across blocks. ``reverse`` marks the B-to-A direction of
+    ``tc3i_loss``, where A and B are the pair's second and first video: a
+    block is then taken in the pair's order, B's rows against A's block with
+    B's norms added first, and transposed. So for videos that fit in one
+    block, both directions read the same distance bits from one product of
+    the pair's shape.
     """
-    N, M = dist.shape
+    N, M = len(A), len(B)
+    a_sq, b_sq = _sq_norms(A), _sq_norms(B)
     k = np.arange(N, dtype=np.float64)
     per_frame = np.empty(N)
     gA_rows = np.empty_like(A)  # from pairs (i, j) of ||A_i - B_j||^2, row by row
     gA_cols, sum_d2 = np.zeros_like(A), np.zeros(N)  # pairs (i, k) of ||V_i - A_k||^2
     gB_alpha, gB_cols, sum_d1 = np.zeros_like(B), np.zeros_like(B), np.zeros(M)
     for rows in _row_blocks(N, max(N, M)):
-        # C order: the B-A direction of tc3i_loss passes a transposed view.
-        alpha = _softmax_rows(np.divide(dist[rows], -temperature, order="C"))
+        if reverse:  # a C-order copy of the transposed block
+            logits = np.divide(_sqdist(B, A[rows], b_sq, a_sq[rows]).T, -temperature, order="C")
+        else:
+            logits = _sqdist(A[rows], B, a_sq[rows], b_sq)
+            logits /= -temperature
+        alpha = _softmax_rows(logits)
         V = alpha @ B  # soft-matched frames
-        logits = _sqdist(V, A)
+        logits = _sqdist(V, A, _sq_norms(V), a_sq)
         logits /= -temperature
         beta = _softmax_rows(logits)
         mu = beta @ k
@@ -419,12 +435,13 @@ def cidm_loss(U: np.ndarray, window: int, margin: float):
     far = np.where(gap > window, inv_weight, 0.0)
     near_rows, far_rows = sliding_window_view(np.stack([near, far]), T, axis=1)[:, ::-1]
     pair_count = T * (T - 1) // 2
-    close = 1e-6 * np.max(np.einsum("ij,ij->i", U, U))
+    u_sq = _sq_norms(U)
+    close = 1e-6 * np.max(u_sq)
     near_sum = far_sum = 0.0
     grad = np.empty(U.shape)
     for rows in _row_blocks(T, T):
         near_w, far_w = near_rows[rows], far_rows[rows]
-        d = _sqdist(U[rows], U)
+        d = _sqdist(U[rows], U, u_sq[rows], u_sq)
         close_i, close_j = np.nonzero(d < close)
         for start in range(0, close_i.size, T):  # T pairs at a time
             i = close_i[start : start + T]
@@ -455,20 +472,20 @@ def tc3i_loss(A: np.ndarray, B: np.ndarray, config: TrainConfig):
     """Symmetric cycle-back loss plus weighted temporal coherence on each video.
 
     Equals tcc(A,B) + tcc(B,A) + w * (cidm(A) + cidm(B)); gradients compose by
-    sum. Both cycle-back directions read one A-B squared-distance matrix, the
-    B-A direction through its transpose. The coherence terms are skipped
-    entirely when their weight is zero. The two cycle-back directions and the
-    two coherence terms are independent jobs for ``core._parallel_map``; their
-    losses and gradients are added in the order written above, so the result
-    does not depend on the CPU count.
+    sum. Each cycle-back direction builds its own A-B distances in row
+    blocks, the B-A direction as transposed blocks, so no full pair matrix
+    is held and a step needs O(T E) memory plus a few blocks per job. The
+    coherence terms are skipped entirely when their weight is zero. The two
+    cycle-back directions and the two coherence terms are independent jobs
+    for ``core._parallel_map``; their losses and gradients are added in the
+    order written above, so the result does not depend on the CPU count.
     """
     A, B = _as_pair(A, B)
-    dist = _sqdist(A, B)
     knobs = (config.temperature, config.variance_weight, config.variance_floor)
-    jobs = [partial(_cycle_back, A, B, dist, *knobs), partial(_cycle_back, B, A, dist.T, *knobs)]
+    jobs = [partial(_cycle_back, A, B, *knobs), partial(_cycle_back, B, A, *knobs, reverse=True)]
     if config.cidm_weight > 0:
         jobs += [partial(cidm_loss, U, config.cidm_window, config.cidm_margin) for U in (A, B)]
-    results = _parallel_map(lambda job: job(), jobs, dist.size)
+    results = _parallel_map(lambda job: job(), jobs, len(A) * len(B))
     (loss_ab, gA, gB), (loss_ba, gB2, gA2), *coherence = results
     loss = loss_ab + loss_ba
     gA += gA2
@@ -568,7 +585,7 @@ def save_params(path: str | Path, params: EmbedderParams) -> None:
 
 def load_params(path: str | Path) -> EmbedderParams:
     path = Path(path)
-    raw = path.read_bytes()
+    raw = _read_bytes(path)
     D, H, E = _binary_fields(
         path, raw, len(raw), _PARAMS_HEADER, PARAMS_MAGIC, PARAMS_VERSION,
         lambda D, H, E: H * D + H + E * H + E,

@@ -329,9 +329,13 @@ def _nearest_centroids(
         np.maximum(labels, c * (gram[c] < best), out=labels)
         np.minimum(best, gram[c], out=best)
     near = np.flatnonzero(second - best <= _GRAM_TIE_RTOL * (sq_norms + c_sq.max()))
-    if near.size > 0:
-        diff = points[near][:, None, :] - centroids[None, :, :]
-        labels[near] = (diff**2).sum(axis=2).argmin(axis=1)
+    # Every point can be near a tie (identical centroids, say), so the
+    # chunk x K x E differences are taken in chunks of a score block's size.
+    step = max(1, _SCORE_BLOCK_ENTRIES // centroids.size)
+    for start in range(0, near.size, step):
+        chunk = near[start : start + step]
+        diff = points[chunk][:, None, :] - centroids[None, :, :]
+        labels[chunk] = np.square(diff, out=diff).sum(axis=2).argmin(axis=1)
     return labels
 
 
@@ -464,10 +468,16 @@ def _label_frames(embeddings, mats, keystep, K, kmeans_restarts, seed) -> KeySte
     """Frames outside the ``keystep`` mask get 0, ``cluster_foreground`` labels
     those inside 1..K, and the labels go back to the videos of ``embeddings``."""
     flat = np.zeros(keystep.shape[0], dtype=np.int64)
+    ends = np.cumsum([len(m) for m in mats])[:-1]
     fg = np.flatnonzero(keystep)
     if fg.size > 0:
-        flat[fg], _ = cluster_foreground(np.concatenate(mats)[fg], K, kmeans_restarts, seed)
-    ends = np.cumsum([len(m) for m in mats])[:-1]
+        # Each video's foreground rows are copied straight into one array:
+        # a copy of every frame, or per-video copies, raise the peak memory.
+        points = np.empty((fg.size, mats[0].shape[1]))
+        pieces = np.split(points, np.searchsorted(fg, ends))
+        for m, mask, piece in zip(mats, np.split(keystep, ends), pieces):
+            np.compress(mask, m, axis=0, out=piece)
+        flat[fg], _ = cluster_foreground(points, K, kmeans_restarts, seed)
     return KeyStepAssignment(per_video=dict(zip(embeddings, np.split(flat, ends))), K=K)
 
 

@@ -445,6 +445,50 @@ def test_missing_manifest_exits_3(tmp_path):
     assert _run("train", tmp_path / "void") == 3
 
 
+def test_an_unreadable_input_exits_3_naming_the_path(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert _run("synth", out) == 0
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    capsys.readouterr()
+    assert _run("stats", out, "--manifest", str(directory)) == 3
+    assert f"proclearn: missing or unreadable file: {directory}: " in capsys.readouterr().err
+    assert _run("stats", out, "--config", str(directory)) == 3
+    assert f"unreadable file: {directory}: " in capsys.readouterr().err
+    feature = out / "features" / "video_01.feat"
+    feature.unlink()
+    feature.mkdir()
+    for command in ("train", "stats"):
+        assert _run(command, out) == 3
+        assert f"unreadable file: {feature}: " in capsys.readouterr().err
+    feature.rmdir()
+    assert _run("synth", out) == 0
+    # A process run as root reads a file whatever its mode bits, so the read
+    # is denied in the reader rather than by chmod.
+    opened = Path.open
+
+    def denied(path, *args, **kwargs):
+        if path.name == "video_01.csv":
+            raise PermissionError(13, "Permission denied", str(path))
+        return opened(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", denied)
+    capsys.readouterr()
+    assert _run("stats", out) == 3
+    err = capsys.readouterr().err
+    assert f"unreadable file: {out / 'annotations' / 'video_01.csv'}: Permission denied" in err
+
+
+def test_an_annotation_segment_error_exits_5_naming_the_file_and_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("synth", out) == 0
+    annotation = out / "annotations" / "video_00.csv"
+    annotation.write_text("start,end,label\nnan,5.0,1\n")
+    capsys.readouterr()
+    assert _run("stats", out) == 5
+    assert f"{annotation}:2: segment start nan must precede end 5.0" in capsys.readouterr().err
+
+
 def test_malformed_manifest_exits_4(tmp_path):
     out = tmp_path / "out"
     out.mkdir()

@@ -233,6 +233,22 @@ def test_annotation_file_domain_errors(tmp_path):
         parse_annotation_file(path, 2.0, 2)
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("nan,5.0,1", "segment start nan must precede end 5.0"),
+        ("-1,1,1", "segment start -1.0 < 0"),
+        ("0,1,0", "label_id 0 < 1"),
+    ],
+)
+def test_annotation_segment_errors_name_the_file_and_line(tmp_path, line, reason):
+    path = tmp_path / "v.csv"
+    path.write_text(f"start,end,label\n0,1,1\n\n{line}\n")
+    with pytest.raises(AnnotationError) as excinfo:
+        parse_annotation_file(path, 9.0, 2)
+    assert str(excinfo.value) == f"{path}:4: {reason}"
+
+
 def test_annotation_file_skips_blank_lines(tmp_path):
     path = tmp_path / "v.csv"
     path.write_text("start,end,label\n\n0,1,1\n\n")

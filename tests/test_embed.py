@@ -376,8 +376,14 @@ def test_cidm_held_memory_does_not_grow_with_video_lengths():
         # N = M = 300, E = 64: an N x M x E temporary alone would be 46 MB.
         pytest.param(lambda A, B: tcc_loss(A, B, 0.1, 1e-3, 1e-6), 300, 64, 16, id="tcc_loss"),
         pytest.param(lambda A, B: cidm_loss(A, 5, 2.0), 300, 64, 16, id="cidm_loss"),
-        # Row blocks leave the A-B distance matrix as the only full pair
-        # matrix of a training step (7.6 MB here).
+        # No pair matrix is held whole: the cycle-back builds its distances
+        # a row block at a time (about 4 MB, 0.12 pair matrices, here).
+        pytest.param(
+            lambda A, B: tcc_loss(A, B, 0.1, 1e-3, 1e-6), 2000, 16, 0.25, id="tcc_loss-long"
+        ),
+        # Each of the four jobs of a training step holds its own few row
+        # blocks, so the peak grows with the jobs that run at once, all four
+        # on four CPUs or more (about 7 MB on two CPUs).
         pytest.param(lambda A, B: tc3i_loss(A, B, TrainConfig()), 1000, 16, 2, id="tc3i_loss"),
     ],
 )

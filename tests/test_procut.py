@@ -532,6 +532,24 @@ def test_cluster_peak_memory_stays_below_a_point_centroid_difference():
     assert peak < n * K * E * 8
 
 
+def test_nearest_centroids_bound_the_reranking_of_ties():
+    # Identical centroids tie at every point, so every point is ranked again
+    # from row differences; n x K x E of them would be 5 copies of the points.
+    n, E, K = 50000, 16, 5
+    points = np.random.default_rng(27).standard_normal((n, E))
+    points_t = np.ascontiguousarray(points.T)
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    centroids = np.repeat(points[:1], K, axis=0)
+    tracemalloc.start()
+    try:
+        labels = _nearest_centroids(points, points_t, sq_norms, centroids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(labels, np.zeros(n, dtype=np.int64))
+    assert peak < 1.5 * n * E * 8
+
+
 def test_cluster_does_not_depend_on_the_cpu_count(cpus):
     rng = np.random.default_rng(26)
     centers = rng.standard_normal((4, 3)) * 3
