@@ -18,18 +18,21 @@ parameter updates during training are strictly sequential. Within one step,
 ``tc3i_loss`` runs its four terms (two cycle-back directions, two coherence
 terms) concurrently on the process's CPUs and adds them in a fixed order.
 
-Both losses take squared distances in Gram form, ||x||^2 + ||y||^2 - 2 x.y
-clamped at 0, from squared norms taken once per call, so no N x M x E
-temporary is built. Within one video, pairs closer than about 1e-3 of the
-largest row norm are recomputed from their difference, so equal rows get
-exactly 0 and the coherence gradient keeps its precision. No loss holds a
-full pair matrix: each walks its pair matrices in row blocks of at most
-_BLOCK_ENTRIES entries, which stay in cache, and builds each block's
-distances itself. Per-row work is done within a block and column-side
-gradient terms add up across blocks, so a loss on T-frame videos holds
-O(T E) memory plus a few blocks at any T. The coherence weights depend only
-on the index gap, so each block reads them as windows of two length-(2T-1)
-profiles. Videos of up to 256 frames are one block.
+The cycle-back logits leave out each row's own squared norm, which a row
+softmax does not see: (2 a.b - ||b||^2) / temperature needs no N x M x E
+temporary and no clamp. The coherence loss sums its near pairs from row
+differences along the band and takes far-pair distances in Gram form,
+||x||^2 + ||y||^2 - 2 x.y, from squared norms taken once per call; pairs
+closer than about 1e-3 of the largest row norm are recomputed from their
+difference, so equal rows get exactly 0 and the gradient keeps its
+precision. No loss holds a full pair matrix: each walks its pair matrices
+in row blocks of at most _BLOCK_ENTRIES entries, written into a few
+buffers allocated once per call, which stay in cache. Per-row work is done
+within a block and column-side gradient terms add up across blocks, so a
+loss on T-frame videos holds O(T E) memory plus a few blocks at any T. The
+far-pair weights depend only on the index gap, so each block reads them as
+windows of one length-(2T-1) profile. Videos of up to 256 frames are one
+block.
 
 A training step reads at most _TRAIN_FRAMES (F) frames of each video: a
 longer video is read at a stride whose offset moves by one with each pass
@@ -246,22 +249,8 @@ def _sq_norms(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)
 
 
-def _sqdist(X: np.ndarray, Y: np.ndarray, x_sq: np.ndarray, y_sq: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of X and Y in Gram form.
-
-    ||x||^2 + ||y||^2 - 2 x.y from the rows' squared norms ``x_sq`` and
-    ``y_sq``, added in that order and clamped at 0 because rounding can
-    leave it a few ulps below. No N x M x E temporary is built.
-    """
-    d = X @ Y.T
-    d *= -2.0
-    d += x_sq[:, None]
-    d += y_sq
-    return np.maximum(d, 0.0, out=d)
-
-
 # Entries of one row block of a loss pair matrix: 512 KB of float64, so a
-# block and its few same-sized temporaries stay in a core's L2 cache.
+# block and its few same-sized buffers stay in a core's L2 cache.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -271,12 +260,12 @@ def _row_blocks(rows: int, width: int) -> list[slice]:
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, computed in place in ``logits``."""
+def _exp_rows(logits: np.ndarray) -> np.ndarray:
+    """exp(logits - row max) in place: a softmax left unnormalized. Returns
+    the row sums, its normalizers."""
     logits -= logits.max(axis=1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    return logits
+    return logits.sum(axis=1)
 
 
 def _as_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
@@ -306,50 +295,67 @@ def tcc_loss(
     (i - mu)^2 / sigma^2 + variance_weight * log sigma^2. Returns the mean
     over i and exact gradients with respect to A and B.
 
-    Squared distances are taken in Gram form, ||x||^2 + ||y||^2 - 2 x.y
-    clamped at 0, so no N x M x E temporary is built. No N x M or N x N
-    matrix is held either: the A-B distances, the soft matches and the
+    A row softmax ignores a constant added to its row, so the logits are
+    taken as (2 a_i.b_j - ||b_j||^2) / temperature, without the -||a_i||^2
+    of the distance: no N x M x E temporary is built and nothing is clamped.
+    No N x M or N x N matrix is held either: the soft matches and the
     back-matches are built a cache-sized block of rows of A at a time, so
     the loss needs O((N + M) E) memory plus a few blocks at any N and M.
+    Raises FloatingPointError naming the frame of A whose loss is not
+    finite, one whose squared norm overflows included.
     """
     A, B = _as_pair(A, B)
     return _cycle_back(A, B, temperature, variance_weight, variance_floor)
 
 
-def _cycle_back(A, B, temperature, variance_weight, variance_floor, reverse=False):
+def _cycle_back(A, B, temperature, variance_weight, variance_floor):
     """``tcc_loss`` on checked inputs.
 
-    Each row block of A computes its own A-B squared distances from squared
-    norms taken once per call; the gradient terms of A's and B's columns add
-    up across blocks. ``reverse`` marks the B-to-A direction of
-    ``tc3i_loss``, where A and B are the pair's second and first video: a
-    block is then taken in the pair's order, B's rows against A's block with
-    B's norms added first, and transposed. So for videos that fit in one
-    block, both directions read the same distance bits from one product of
-    the pair's shape.
+    Both softmaxes are left unnormalized: each row's 1 / sum exp is folded
+    into the row vectors derived from it (V, mu, var and their gradients),
+    and 2 / temperature into the small operand of each product, the block's
+    rows of A and then V. The gradient on a softmax's logits,
+    beta (g_beta - sum_k beta_k g_beta_k), sums to 0 along its row, so the
+    row terms left out of the logits need no gradient. A row block writes
+    into four block buffers allocated once per call; the gradient terms of
+    A's and B's columns add up across blocks.
     """
     N, M = len(A), len(B)
-    a_sq, b_sq = _sq_norms(A), _sq_norms(B)
+    a_sq = _sq_norms(A)
+    if not np.isfinite(a_sq).all():  # such a frame is at no finite distance
+        bad = int(np.flatnonzero(~np.isfinite(a_sq))[0])
+        raise FloatingPointError(f"non-finite cycle loss at frame {bad}")
+    scale = 2.0 / temperature
+    a_q, b_q = a_sq / temperature, _sq_norms(B) / temperature
     k = np.arange(N, dtype=np.float64)
+    blocks = _row_blocks(N, max(N, M))
+    R = blocks[0].stop
     per_frame = np.empty(N)
-    gA_rows = np.empty_like(A)  # from pairs (i, j) of ||A_i - B_j||^2, row by row
-    gA_cols, sum_d2 = np.zeros_like(A), np.zeros(N)  # pairs (i, k) of ||V_i - A_k||^2
-    gB_alpha, gB_cols, sum_d1 = np.zeros_like(B), np.zeros_like(B), np.zeros(M)
-    for rows in _row_blocks(N, max(N, M)):
-        if reverse:  # a C-order copy of the transposed block
-            logits = np.divide(_sqdist(B, A[rows], b_sq, a_sq[rows]).T, -temperature, order="C")
-        else:
-            logits = _sqdist(A[rows], B, a_sq[rows], b_sq)
-            logits /= -temperature
-        alpha = _softmax_rows(logits)
-        V = alpha @ B  # soft-matched frames
-        logits = _sqdist(V, A, _sq_norms(V), a_sq)
-        logits /= -temperature
-        beta = _softmax_rows(logits)
-        mu = beta @ k
-        dev2 = k - mu[:, None]
-        np.square(dev2, out=dev2)  # (k - mu_i)^2
-        var = np.einsum("ik,ik->i", beta, dev2)
+    gA_rows = np.empty_like(A)  # G1 B: pairs (i, j) of A_i . B_j, row by row
+    gA_cols, sum_2 = np.zeros_like(A), np.zeros(N)  # pairs (i, k) of V_i . A_k
+    gB_alpha, gB_cols, sum_1 = np.zeros_like(B), np.zeros_like(B), np.zeros(M)
+    # The block buffers come after the arrays that become the results, so
+    # nothing the call returns sits above them on the heap once they are
+    # freed. Results allocated after the buffers raised peak RSS: by 0.13 MB
+    # in run-all on 30 videos of 200 frames (40 steps, the CLI's heap
+    # policy) and by up to 1 MB in perfbench's localize-many.
+    e1_buf, e2_buf = np.empty((R, M)), np.empty((R, max(N, M)))  # e2_buf then holds G1
+    u_buf, g2_buf = np.empty((R, N)), np.empty((R, N))
+    for rows in blocks:
+        r = rows.stop - rows.start
+        e1 = np.matmul(scale * A[rows], B.T, out=e1_buf[:r])
+        e1 -= b_q
+        inv1 = 1.0 / _exp_rows(e1)  # alpha = e1 * inv1
+        V = e1 @ B  # soft-matched frames
+        V *= inv1[:, None]
+        e2 = np.matmul(scale * V, A.T, out=e2_buf[:r, :N])
+        e2 -= a_q
+        inv2 = 1.0 / _exp_rows(e2)  # beta = e2 * inv2
+        mu = e2 @ k
+        mu *= inv2
+        u = np.subtract(k, mu[:, None], out=u_buf[:r])  # k - mu_i
+        var = np.einsum("ik,ik,ik->i", e2, u, u)
+        var *= inv2
         sig = np.maximum(variance_floor, var)
         err = k[rows] - mu
         frame_loss = per_frame[rows]
@@ -360,42 +366,43 @@ def _cycle_back(A, B, temperature, variance_weight, variance_floor, reverse=Fals
 
         # Backward. var depends on beta only: d var / d beta_k = (k - mu)^2
         # because the explicit mu-dependence cancels (sum beta_k (k - mu) = 0).
+        # So g_beta = g_mu k + g_sig u^2, whose beta-weighted row sum is
+        # g_mu mu + g_sig var, and the logits' gradient G2 is
+        # beta (g_mu u + g_sig (u^2 - var)).
         g_mu = -2.0 * err / sig
         g_sig = np.where(var > variance_floor, -(err**2) / sig**2 + variance_weight / sig, 0.0)
-        # g_beta = g_mu k + g_sig (k - mu)^2, built in place in dev2. Its
-        # beta-weighted row sum is g_mu mu + g_sig var, because sum_k beta_k k = mu
-        # and sum_k beta_k (k - mu)^2 = var.
-        g_d2 = dev2
-        g_d2 *= g_sig[:, None]
-        g_d2 += g_mu[:, None] * k
-        g_d2 -= (g_mu * mu + g_sig * var)[:, None]
-        g_d2 *= beta
-        g_d2 /= -temperature  # pairs (i, k) of ||V_i - A_k||^2
-        # d ||V_i - A_k||^2: 2 (V_i - A_k) toward V_i, the negative toward A_k.
-        gV = 2.0 * (g_d2.sum(axis=1)[:, None] * V - g_d2 @ A)
-        gA_cols += g_d2.T @ V
-        sum_d2 += g_d2.sum(axis=0)
+        g_mu *= inv2
+        g_sig *= inv2
+        G2 = np.multiply(u, g_sig[:, None], out=g2_buf[:r])
+        G2 += g_mu[:, None]
+        G2 *= u
+        G2 -= (g_sig * var)[:, None]
+        G2 *= e2
+        # d (2 V_i.A_k - ||A_k||^2) / temperature: scale A_k toward V_i,
+        # scale (V_i - A_k) toward A_k.
+        gV = G2 @ A
+        gA_cols += G2.T @ V
+        sum_2 += G2.sum(axis=0)
 
-        # g_alpha = gV B^T, built in place; its alpha-weighted row sum is gV_i . V_i.
-        g_d1 = gV @ B.T
-        gB_alpha += alpha.T @ gV
-        g_d1 -= np.einsum("ie,ie->i", gV, V)[:, None]
-        g_d1 *= alpha
-        g_d1 /= -temperature  # pairs (i, j) of ||A_i - B_j||^2
-        gA_rows[rows] = 2.0 * (g_d1.sum(axis=1)[:, None] * A[rows] - g_d1 @ B)
-        gB_cols += g_d1.T @ A[rows]
-        sum_d1 += g_d1.sum(axis=0)
+        # G1 = alpha (gV B^T - gV.V), from gV / sum exp and e1.
+        gV *= (scale * inv1)[:, None]
+        G1 = np.matmul(gV, B.T, out=e2_buf[:r, :M])
+        gB_alpha += e1.T @ gV
+        G1 -= np.einsum("ie,ie->i", gV, V)[:, None]
+        G1 *= e1
+        gA_rows[rows] = G1 @ B
+        gB_cols += G1.T @ A[rows]
+        sum_1 += G1.sum(axis=0)
 
     loss = float(per_frame.mean())
-    # Results are allocated after the block temporaries: on glibc's default
-    # heap policy, memory freed below a live result stays for the next call
-    # instead of going back to the OS (train_embedder, 40 steps on 5 videos of
-    # 200 frames: 7.3k page faults in all, 47k with the results built in place
-    # in gA_rows and gB_alpha). The CLI keeps freed memory either way, so the
-    # order matters only to library callers that keep glibc's default.
-    gA = gA_rows - 2.0 * (gA_cols - sum_d2[:, None] * A)
-    gB = gB_alpha - 2.0 * (gB_cols - sum_d1[:, None] * B)
-    gA /= N
+    gA = gA_rows
+    gA += gA_cols
+    gA -= sum_2[:, None] * A
+    gA *= scale / N
+    gB = gB_cols
+    gB -= sum_1[:, None] * B
+    gB *= scale
+    gB += gB_alpha
     gB /= N
     if not (np.isfinite(gA).all() and np.isfinite(gB).all()):
         raise FloatingPointError("non-finite cycle-loss gradient")
@@ -410,17 +417,19 @@ def cidm_loss(U: np.ndarray, window: int, margin: float):
     pairs contribute (1/W) * max(0, margin - d)^2; the result is the mean
     over all frame pairs i < j.
 
-    The T x T pair matrices are walked in row blocks of cache size. The
-    weights depend on i - j only: each block reads its rows as windows of two
-    length-(2T-1) profiles, the near weight W for 0 < |i-j| <= window and the
-    far weight 1/W beyond, each 0 outside its band. Distances come from the
-    Gram form ||u_i||^2 + ||u_j||^2 - 2 u_i.u_j, clamped at 0, except that
-    pairs below 1e-6 of the largest ||u||^2 are recomputed from u_i - u_j.
-    The Gram form's rounding is a few ulps of that largest norm at any
-    distance, so without the recompute equal rows could read as apart and
-    the far-pair gradient, which divides by d, would lose precision for
-    close rows. A far pair at d = 0 keeps its hinge term in the loss but
-    adds nothing to the gradient, where the hinge has no derivative.
+    Near pairs, 0 < |i-j| <= window, are summed from row differences along
+    the band, in O(T window E). Far pairs are walked as T x T pair matrices
+    in row blocks of cache size, each block reading its rows of the far
+    weight 1/W (0 within the window) as windows of one length-(2T-1) profile
+    of the index gap. Their distances come from the Gram form
+    ||u_i||^2 + ||u_j||^2 - 2 u_i.u_j, except that pairs at most 1e-6 of the
+    largest ||u||^2 are recomputed from u_i - u_j. The Gram form's rounding
+    is a few ulps of that largest norm at any distance, so without the
+    recompute equal rows could read as apart and the far-pair gradient,
+    which divides by d, would lose precision for close rows; so too only a
+    recomputed pair can be at d = 0. A far pair at d = 0 keeps its hinge
+    term in the loss but adds nothing to the gradient, where the hinge has
+    no derivative.
     """
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2:
@@ -429,40 +438,51 @@ def cidm_loss(U: np.ndarray, window: int, margin: float):
     if T < 2:
         raise ValueError(f"need at least two frames, got {T}")
 
-    gap = np.abs(np.arange(1 - T, T))  # profile index T-1+j-i holds pair (i, j)
-    inv_weight = 1.0 + gap**2
-    near = np.where((gap > 0) & (gap <= window), 1.0 / inv_weight, 0.0)
-    far = np.where(gap > window, inv_weight, 0.0)
-    near_rows, far_rows = sliding_window_view(np.stack([near, far]), T, axis=1)[:, ::-1]
     pair_count = T * (T - 1) // 2
-    u_sq = _sq_norms(U)
-    close = 1e-6 * np.max(u_sq)
     near_sum = far_sum = 0.0
-    grad = np.empty(U.shape)
-    for rows in _row_blocks(T, T):
-        near_w, far_w = near_rows[rows], far_rows[rows]
-        d = _sqdist(U[rows], U, u_sq[rows], u_sq)
-        close_i, close_j = np.nonzero(d < close)
-        for start in range(0, close_i.size, T):  # T pairs at a time
-            i = close_i[start : start + T]
-            j = close_j[start : start + T]
-            diff = U[rows.start + i] - U[j]
-            d[i, j] = np.einsum("ke,ke->k", diff, diff)
-        near_sum += np.vdot(near_w, d)
-        np.sqrt(d, out=d)
-        hinge = np.subtract(margin, d)
-        np.maximum(hinge, 0.0, out=hinge)
-        far_hinge = hinge * far_w
-        far_sum += np.vdot(far_hinge, hinge)
-        # coeff[i,j] multiplies (u_i - u_j) in the gradient of the (i,j) term:
-        # 2 W on near pairs, -2 hinge / (W d) on far pairs with d > 0. Built
-        # in place; a pair at d = 0 divides by inf and adds nothing.
-        d[d == 0.0] = np.inf
-        coeff = np.divide(far_hinge, d, out=far_hinge)
-        coeff -= near_w
-        coeff *= -2.0 / pair_count
-        grad[rows] = coeff.sum(axis=1)[:, None] * U[rows] - coeff @ U
-    loss = float((near_sum + far_sum) / 2.0 / pair_count)
+    grad = np.zeros(U.shape)  # the gradient times pair_count / 2
+    for gap in range(1, min(window, T - 1) + 1):
+        diff = U[gap:] - U[:-gap]
+        near_sum += np.vdot(diff, diff) / (1.0 + gap**2)
+        diff /= 1.0 + gap**2
+        grad[gap:] += diff
+        grad[:-gap] -= diff
+    if T - 1 > window:
+        gap = np.abs(np.arange(1 - T, T))  # profile index T-1+j-i holds pair (i, j)
+        far_rows = sliding_window_view(np.where(gap > window, 1.0 + gap**2, 0.0), T)[::-1]
+        u_sq = _sq_norms(U)
+        close = 1e-6 * np.max(u_sq)
+        U_m2 = -2.0 * U
+        blocks = _row_blocks(T, T)
+        d_buf, h_buf = np.empty((blocks[0].stop, T)), np.empty((blocks[0].stop, T))
+        for rows in blocks:
+            r = rows.stop - rows.start
+            d = np.matmul(U[rows], U_m2.T, out=d_buf[:r])
+            d += u_sq[rows, None]
+            d += u_sq
+            flat = d.reshape(-1)
+            pairs = np.flatnonzero(d <= close)
+            zeros = []
+            for start in range(0, pairs.size, T):  # T pairs at a time
+                p = pairs[start : start + T]
+                i, j = np.divmod(p, T)
+                diff = U[rows.start + i] - U[j]
+                flat[p] = np.einsum("ke,ke->k", diff, diff)
+                zeros.append(p[flat[p] == 0.0])
+            np.sqrt(d, out=d)
+            hinge = np.subtract(margin, d, out=h_buf[:r])
+            np.maximum(hinge, 0.0, out=hinge)
+            far_w = far_rows[rows]
+            far_sum += np.einsum("ij,ij,ij->", far_w, hinge, hinge)
+            # hinge / (W d) multiplies -(u_i - u_j); a pair at d = 0 divides
+            # by inf and adds nothing.
+            coeff = np.multiply(hinge, far_w, out=hinge)
+            for p in zeros:
+                flat[p] = np.inf
+            coeff /= d
+            grad[rows] -= coeff.sum(axis=1)[:, None] * U[rows] - coeff @ U
+    grad *= 2.0 / pair_count
+    loss = float((2.0 * near_sum + far_sum) / 2.0 / pair_count)
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite temporal-coherence gradient")
     return loss, grad
@@ -472,17 +492,16 @@ def tc3i_loss(A: np.ndarray, B: np.ndarray, config: TrainConfig):
     """Symmetric cycle-back loss plus weighted temporal coherence on each video.
 
     Equals tcc(A,B) + tcc(B,A) + w * (cidm(A) + cidm(B)); gradients compose by
-    sum. Each cycle-back direction builds its own A-B distances in row
-    blocks, the B-A direction as transposed blocks, so no full pair matrix
-    is held and a step needs O(T E) memory plus a few blocks per job. The
-    coherence terms are skipped entirely when their weight is zero. The two
-    cycle-back directions and the two coherence terms are independent jobs
-    for ``core._parallel_map``; their losses and gradients are added in the
-    order written above, so the result does not depend on the CPU count.
+    sum. Each term walks its pair matrices in row blocks, so no full pair
+    matrix is held and a step needs O(T E) memory plus a few blocks per job.
+    The coherence terms are skipped entirely when their weight is zero. The
+    two cycle-back directions and the two coherence terms are independent
+    jobs for ``core._parallel_map``; their losses and gradients are added in
+    the order written above, so the result does not depend on the CPU count.
     """
     A, B = _as_pair(A, B)
     knobs = (config.temperature, config.variance_weight, config.variance_floor)
-    jobs = [partial(_cycle_back, A, B, *knobs), partial(_cycle_back, B, A, *knobs, reverse=True)]
+    jobs = [partial(_cycle_back, A, B, *knobs), partial(_cycle_back, B, A, *knobs)]
     if config.cidm_weight > 0:
         jobs += [partial(cidm_loss, U, config.cidm_window, config.cidm_margin) for U in (A, B)]
     results = _parallel_map(lambda job: job(), jobs, len(A) * len(B))

@@ -202,6 +202,31 @@ def test_tcc_loss_finite_for_finite_inputs():
         assert np.isfinite(gA).all() and np.isfinite(gB).all()
 
 
+@pytest.mark.parametrize("norm", [1e-3, 1e3])
+@pytest.mark.parametrize("tau", [0.05, 1.0])
+def test_tcc_matches_oracle_at_extreme_row_norms(norm, tau):
+    # The logits leave out each row's -||a_i||^2 / tau and the softmaxes are
+    # left unnormalized. Row norms lie within a factor of 2 of ``norm``: at
+    # 1e3 the logits reach 6e7 and both soft matches are one-hot, at 1e-3
+    # they are nearly uniform.
+    rng = np.random.default_rng(40)
+    A = rng.standard_normal((5, 3))
+    B = rng.standard_normal((4, 3))
+    for X in (A, B):
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        X *= norm * rng.uniform(0.5, 2.0, size=(len(X), 1))
+    expected = cycle_back_oracle(A, B, tau, 1e-3, 1e-6)
+    step = 1e-3 * norm
+    for entries in BLOCKINGS:
+        with _row_blocks_of(entries):
+            loss, gA, gB = tcc_loss(A, B, tau, 1e-3, 1e-6)
+            numA = central_difference(lambda X: tcc_loss(X, B, tau, 1e-3, 1e-6)[0], A, step)
+            numB = central_difference(lambda X: tcc_loss(A, X, tau, 1e-3, 1e-6)[0], B, step)
+        assert loss == pytest.approx(expected, rel=1e-12)
+        for g, num in ((gA, numA), (gB, numB)):
+            np.testing.assert_allclose(g, num, rtol=1e-4, atol=1e-6 * np.abs(num).max())
+
+
 def test_tcc_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         tcc_loss(np.zeros((0, 2)), np.ones((1, 2)), 0.1, 1e-3, 1e-6)
@@ -250,6 +275,22 @@ def test_cidm_gradients_match_central_differences():
                 _, grad = cidm_loss(U, 2, 2.0)
                 num = central_difference(lambda X: cidm_loss(X, 2, 2.0)[0], U)
             assert np.max(np.abs(grad - num) / (np.abs(num) + 1e-8)) < 1e-4
+
+
+@pytest.mark.parametrize("T, window", [(2, 1), (3, 1), (6, 5), (6, 9)])
+def test_cidm_near_band_matches_oracle(T, window):
+    # Near pairs come from the band of row differences and far pairs from
+    # the row blocks: with window >= T - 1 there are no far pairs, and at
+    # T = 3, window = 1 only the pair (0, 2) is far.
+    rng = np.random.default_rng(41)
+    U = rng.standard_normal((T, 3))
+    expected_loss = coherence_oracle(U, window, 2.0)
+    expected = coherence_grad_oracle(U, window, 2.0)
+    for entries in BLOCKINGS:
+        with _row_blocks_of(entries):
+            loss, grad = cidm_loss(U, window, 2.0)
+        assert loss == pytest.approx(expected_loss, rel=1e-12)
+        np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 def test_cidm_time_reversal_symmetry():
@@ -356,8 +397,8 @@ def test_cycle_loss_error_names_the_global_frame():
 
 
 def test_cidm_held_memory_does_not_grow_with_video_lengths():
-    # The coherence weights are kept per (T, window) for reuse; twelve
-    # distinct lengths must not leave twelve pairs of T x T matrices behind.
+    # Nothing is kept between calls: twelve distinct lengths must not leave
+    # twelve pairs of T x T matrices behind.
     rng = np.random.default_rng(36)
     lengths = range(100, 112)
     tracemalloc.start()
@@ -376,14 +417,14 @@ def test_cidm_held_memory_does_not_grow_with_video_lengths():
         # N = M = 300, E = 64: an N x M x E temporary alone would be 46 MB.
         pytest.param(lambda A, B: tcc_loss(A, B, 0.1, 1e-3, 1e-6), 300, 64, 16, id="tcc_loss"),
         pytest.param(lambda A, B: cidm_loss(A, 5, 2.0), 300, 64, 16, id="cidm_loss"),
-        # No pair matrix is held whole: the cycle-back builds its distances
-        # a row block at a time (about 4 MB, 0.12 pair matrices, here).
+        # No pair matrix is held whole: the cycle-back builds its logits
+        # a row block at a time (3.5 MB, 0.11 pair matrices, here).
         pytest.param(
             lambda A, B: tcc_loss(A, B, 0.1, 1e-3, 1e-6), 2000, 16, 0.25, id="tcc_loss-long"
         ),
         # Each of the four jobs of a training step holds its own few row
         # blocks, so the peak grows with the jobs that run at once, all four
-        # on four CPUs or more (about 7 MB on two CPUs).
+        # on four CPUs or more (6.2-6.3 MB on two CPUs).
         pytest.param(lambda A, B: tc3i_loss(A, B, TrainConfig()), 1000, 16, 2, id="tc3i_loss"),
     ],
 )
