@@ -18,21 +18,12 @@ parameter updates during training are strictly sequential. Within one step,
 ``tc3i_loss`` runs its four terms (two cycle-back directions, two coherence
 terms) concurrently on the process's CPUs and adds them in a fixed order.
 
-The cycle-back logits leave out each row's own squared norm, which a row
-softmax does not see: (2 a.b - ||b||^2) / temperature needs no N x M x E
-temporary and no clamp. The coherence loss sums its near pairs from row
-differences along the band and takes far-pair distances in Gram form,
-||x||^2 + ||y||^2 - 2 x.y, from squared norms taken once per call; pairs
-closer than about 1e-3 of the largest row norm are recomputed from their
-difference, so equal rows get exactly 0 and the gradient keeps its
-precision. No loss holds a full pair matrix: each walks its pair matrices
-in row blocks of at most _BLOCK_ENTRIES entries, written into a few
-buffers allocated once per call, which stay in cache. Per-row work is done
-within a block and column-side gradient terms add up across blocks, so a
-loss on T-frame videos holds O(T E) memory plus a few blocks at any T. The
-far-pair weights depend only on the index gap, so each block reads them as
-windows of one length-(2T-1) profile. Videos of up to 256 frames are one
-block.
+No loss holds a full pair matrix: ``tcc_loss`` and ``cidm_loss`` walk their
+pair matrices in row blocks of at most _BLOCK_ENTRIES entries, written into a
+few buffers allocated once per call, which stay in cache. Per-row work is done
+within a block and column-side gradient terms add up across blocks, so a loss
+on T-frame videos holds O(T E) memory plus a few blocks at any T. Videos of up
+to 256 frames are one block.
 
 A training step reads at most _TRAIN_FRAMES (F) frames of each video: a
 longer video is read at a stride whose offset moves by one with each pass
@@ -268,17 +259,6 @@ def _exp_rows(logits: np.ndarray) -> np.ndarray:
     return logits.sum(axis=1)
 
 
-def _as_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
-    """Two non-empty float64 embedding matrices of equal width, or ValueError."""
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
-        raise ValueError("A and B must be matrices with matching column counts")
-    if A.shape[0] < 1 or B.shape[0] < 1:
-        raise ValueError("both sequences need at least one frame")
-    return A, B
-
-
 def tcc_loss(
     A: np.ndarray,
     B: np.ndarray,
@@ -298,28 +278,23 @@ def tcc_loss(
     A row softmax ignores a constant added to its row, so the logits are
     taken as (2 a_i.b_j - ||b_j||^2) / temperature, without the -||a_i||^2
     of the distance: no N x M x E temporary is built and nothing is clamped.
-    No N x M or N x N matrix is held either: the soft matches and the
-    back-matches are built a cache-sized block of rows of A at a time, so
-    the loss needs O((N + M) E) memory plus a few blocks at any N and M.
-    Raises FloatingPointError naming the frame of A whose loss is not
-    finite, one whose squared norm overflows included.
+    The gradient on a softmax's logits, beta (g_beta - sum_k beta_k g_beta_k),
+    sums to 0 along its row, so the left-out row terms need no gradient. Both
+    softmaxes are left unnormalized: each row's 1 / sum exp is folded into the
+    row vectors derived from it (V, mu, var and their gradients), and
+    2 / temperature into the small operand of each product, the block's rows
+    of A and then V.
+
+    Raises ValueError unless A and B are matrices of equal width with at least
+    one frame each, and FloatingPointError naming the frame of A whose loss is
+    not finite, one whose squared norm overflows included.
     """
-    A, B = _as_pair(A, B)
-    return _cycle_back(A, B, temperature, variance_weight, variance_floor)
-
-
-def _cycle_back(A, B, temperature, variance_weight, variance_floor):
-    """``tcc_loss`` on checked inputs.
-
-    Both softmaxes are left unnormalized: each row's 1 / sum exp is folded
-    into the row vectors derived from it (V, mu, var and their gradients),
-    and 2 / temperature into the small operand of each product, the block's
-    rows of A and then V. The gradient on a softmax's logits,
-    beta (g_beta - sum_k beta_k g_beta_k), sums to 0 along its row, so the
-    row terms left out of the logits need no gradient. A row block writes
-    into four block buffers allocated once per call; the gradient terms of
-    A's and B's columns add up across blocks.
-    """
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
+        raise ValueError("A and B must be matrices with matching column counts")
+    if A.shape[0] < 1 or B.shape[0] < 1:
+        raise ValueError("both sequences need at least one frame")
     N, M = len(A), len(B)
     a_sq = _sq_norms(A)
     if not np.isfinite(a_sq).all():  # such a frame is at no finite distance
@@ -492,19 +467,21 @@ def tc3i_loss(A: np.ndarray, B: np.ndarray, config: TrainConfig):
     """Symmetric cycle-back loss plus weighted temporal coherence on each video.
 
     Equals tcc(A,B) + tcc(B,A) + w * (cidm(A) + cidm(B)); gradients compose by
-    sum. Each term walks its pair matrices in row blocks, so no full pair
-    matrix is held and a step needs O(T E) memory plus a few blocks per job.
-    The coherence terms are skipped entirely when their weight is zero. The
-    two cycle-back directions and the two coherence terms are independent
-    jobs for ``core._parallel_map``; their losses and gradients are added in
-    the order written above, so the result does not depend on the CPU count.
+    sum. The coherence terms are skipped entirely when their weight is zero.
+    The two ``tcc_loss`` directions and the two ``cidm_loss`` terms are
+    independent jobs for ``core._parallel_map``; their losses and gradients
+    are added in the order written above, so the result does not depend on
+    the CPU count. A malformed pair raises the ValueError of ``tcc_loss``
+    or, for a video of one frame, of ``cidm_loss``.
     """
-    A, B = _as_pair(A, B)
     knobs = (config.temperature, config.variance_weight, config.variance_floor)
-    jobs = [partial(_cycle_back, A, B, *knobs), partial(_cycle_back, B, A, *knobs)]
+    jobs = [partial(tcc_loss, A, B, *knobs), partial(tcc_loss, B, A, *knobs)]
     if config.cidm_weight > 0:
         jobs += [partial(cidm_loss, U, config.cidm_window, config.cidm_margin) for U in (A, B)]
-    results = _parallel_map(lambda job: job(), jobs, len(A) * len(B))
+    # The first job, tcc_loss, rejects a malformed pair; a 0-d input has no
+    # len(), so it counts as one row here.
+    entries = len(np.atleast_1d(A)) * len(np.atleast_1d(B))
+    results = _parallel_map(lambda job: job(), jobs, entries)
     (loss_ab, gA, gB), (loss_ba, gB2, gA2), *coherence = results
     loss = loss_ab + loss_ba
     gA += gA2

@@ -419,6 +419,8 @@ def cluster_foreground(
     points = np.asarray(points, dtype=np.float64)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
+    if kmeans_restarts < 1:
+        raise ValueError(f"kmeans_restarts must be >= 1, got {kmeans_restarts}")
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("need at least one foreground point")
     n = points.shape[0]

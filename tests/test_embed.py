@@ -385,8 +385,8 @@ def test_row_blocks_agree_with_one_block():
 
 
 def test_cycle_loss_error_names_the_global_frame():
-    # ||a_7||^2 overflows, so frame 7's soft match, in the fourth block of
-    # two rows, is NaN while every other frame stays finite.
+    # ||a_7||^2 overflows, so the squared-norm check names frame 7 before
+    # any block of two rows is built.
     rng = np.random.default_rng(39)
     A = rng.standard_normal((10, 3))
     A[7] = [1e155, 0.0, 0.0]
@@ -464,6 +464,23 @@ def test_tc3i_single_frame_zero_weights_is_zero():
     config = TrainConfig(variance_weight=0.0, cidm_weight=0.0)
     loss, _, _ = tc3i_loss(A, A, config)
     assert loss == 0.0
+
+
+@pytest.mark.parametrize(
+    "A, B, message",
+    [
+        (np.ones((3, 2)), np.ones((4, 3)), "A and B must be matrices with matching column counts"),
+        (np.ones((3, 2)), np.ones((0, 2)), "both sequences need at least one frame"),
+        (np.ones((1, 2)), np.ones((4, 2)), "need at least two frames, got 1"),
+        (np.float64(1.0), np.ones((4, 2)), "A and B must be matrices with matching column counts"),
+    ],
+    ids=["mismatched-widths", "empty-video", "one-frame-video", "0-d-input"],
+)
+@pytest.mark.parametrize("n", [1, 2])
+def test_tc3i_rejects_a_malformed_pair(cpus, n, A, B, message):
+    cpus(n)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tc3i_loss(A, B, TrainConfig())
 
 
 def test_tc3i_matches_composite_golden():
@@ -565,6 +582,23 @@ def test_train_visits_pairs_round_robin(monkeypatch):
     monkeypatch.setattr(embed, "tc3i_loss", recording_loss)
     train_embedder(dataset, TrainConfig(steps=5, seed=13, hidden_dim=6, embed_dim=3))
     assert lengths == [(6, 7), (6, 8), (7, 8), (6, 7), (6, 8)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_each_training_step_calls_each_public_loss_twice(cpus, monkeypatch, n):
+    # The benchmark's loss spans wrap these two module attributes, so a step
+    # must reach both losses through them, on the pool threads too.
+    cpus(n)
+    calls = {"tcc_loss": [], "cidm_loss": []}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(embed, name)):
+            calls[_name].append(args)  # list.append is atomic across threads
+            return _original(*args)
+
+        monkeypatch.setattr(embed, name, counted)
+    train_embedder(_toy_dataset(N=3), TrainConfig(steps=4, seed=2, hidden_dim=6, embed_dim=3))
+    assert {name: len(args) for name, args in calls.items()} == {"tcc_loss": 8, "cidm_loss": 8}
 
 
 def _read_rows(features, step, num_pairs, most):

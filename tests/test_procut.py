@@ -574,6 +574,16 @@ def test_cluster_validation_and_determinism():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("restarts", [0, -2])
+def test_fewer_than_one_kmeans_restart_is_named(restarts):
+    points = np.ones((4, 2))
+    match = f"kmeans_restarts must be >= 1, got {restarts}$"
+    with pytest.raises(ValueError, match=match):
+        cluster_foreground(points, K=2, kmeans_restarts=restarts, seed=0)
+    with pytest.raises(ValueError, match=match):
+        baseline_cluster_all({"a": points, "b": points}, K=2, seed=0, kmeans_restarts=restarts)
+
+
 # ---------------------------------------------------------------------------
 # Localization
 # ---------------------------------------------------------------------------
