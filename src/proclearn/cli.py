@@ -8,10 +8,10 @@ default, may appear in a "key = value" config file (full-line # comments),
 and may be overridden by a flag of the same name; flags beat the file, the
 file beats defaults. Five keys are run-wide (out, manifest, seed, task_name,
 k); every other key is a field of SynthSpec, TrainConfig or PcmConfig
-declared with ``core.setting``, which gives its name, default and help, and
-its default's type (int or float) gives its parser, so a new field of those
-configs is a key with no edit here. Every output is written atomically by
-core's one file writer, and a fixed seed makes every command
+declared with ``core.setting``, which gives its name, default, help and
+range, and its default's type (int or float) gives its parser, so a new field
+of those configs is a key with no edit here. Every output is written
+atomically by core's one file writer, and a fixed seed makes every command
 byte-reproducible. run-all builds every stage's config before it writes a
 file, so a bad setting fails first.
 
@@ -115,6 +115,7 @@ class KeySpec:
     parse: Callable[[str], object]
     default: object
     help: str
+    range: str = ""  # the bounds its ``setting`` declares, as --help shows them
 
 
 _TYPE_PARSERS: dict[type, Callable[[str], object]] = {int: _parse_int, float: _parse_float}
@@ -130,7 +131,9 @@ def _field_keys(cls) -> list[KeySpec]:
         parse = _TYPE_PARSERS.get(type(field.default))
         if parse is None:
             raise TypeError(f"{cls.__name__}.{field.name}: no parser for {field.default!r}")
-        specs.append(KeySpec(field.name, parse, field.default, field.metadata["help"]))
+        bounds = ", ".join(f"{relation} {bound}" for relation, _, bound in field.metadata["range"])
+        bounds = f" ({bounds})" if bounds else ""
+        specs.append(KeySpec(field.name, parse, field.default, field.metadata["help"], bounds))
     return specs
 
 
@@ -151,7 +154,12 @@ _KEYS = {spec.name: spec for spec in KEY_SPECS}
 
 def parse_config_file(path: Path) -> dict[str, str]:
     """Read ``key = value`` lines; full-line # comments and blanks allowed."""
-    raw: dict[str, str] = {}
+    return {key: text for key, text, _ in _config_lines(path)}
+
+
+def _config_lines(path: Path) -> list[tuple[str, str, str]]:
+    """Each key of a config file, its raw value text, and ``path:line: key``."""
+    raw: dict[str, tuple[str, str, str]] = {}
     for lineno, line in enumerate(_read_text(path, ConfigError).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -164,8 +172,8 @@ def parse_config_file(path: Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = value.strip()
-    return raw
+        raw[key] = key, value.strip(), f"{path}:{lineno}: {key}"
+    return list(raw.values())
 
 
 def resolve_config(args: argparse.Namespace) -> tuple[dict[str, object], set[str]]:
@@ -175,17 +183,16 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict[str, object], set[str
     (by file or flag).
     """
     values: dict[str, object] = {spec.name: spec.default for spec in KEY_SPECS}
-    explicit: set[str] = set()
-    if args.config is not None:
-        for key, text in parse_config_file(Path(args.config)).items():
-            values[key] = _KEYS[key].parse(text)
-            explicit.add(key)
+    given = _config_lines(Path(args.config)) if args.config is not None else []
     for spec in KEY_SPECS:
-        flag_value = getattr(args, spec.name)
-        if flag_value is not None:
-            values[spec.name] = spec.parse(flag_value)
-            explicit.add(spec.name)
-    return values, explicit
+        if getattr(args, spec.name) is not None:
+            given.append((spec.name, getattr(args, spec.name), f"--{spec.name}"))
+    for key, text, where in given:
+        try:
+            values[key] = _KEYS[key].parse(text)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return values, {key for key, _, _ in given}
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +378,10 @@ _FAILURES: tuple[tuple[tuple[type[Exception], ...], int, str, str], ...] = (
 _EPILOG = "exit codes:\n  0  success\n" + "".join(
     f"  {code}  {text}\n" for _, code, _, text in sorted(_FAILURES, key=lambda row: row[1])
 ) + """
-configuration keys (file "key = value" lines or flags of the same name):
+configuration keys (file "key = value" lines or flags of the same name; every
+command checks a key's range, in parentheses, before it writes a file):
 """ + "\n".join(
-    f"  {spec.name:<25} default {spec.default!r}: {spec.help}" for spec in KEY_SPECS
+    f"  {spec.name:<25} default {spec.default!r}: {spec.help}{spec.range}" for spec in KEY_SPECS
 ) + """
 
 negative values: a flag takes "-0.5" as its value, but a negative number in

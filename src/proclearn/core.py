@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from operator import ge, gt, le, lt
 from pathlib import Path
 from typing import Callable
 
@@ -83,10 +84,24 @@ class UnreadableFileError(OSError):
     """An input path exists but cannot be read: a directory, say, or no permission."""
 
 
-def setting(default, help: str):
-    """A stage-config field that is also the configuration key of its name,
-    parsed by its default's type."""
-    return field(default=default, metadata={"help": help})
+def setting(default, help: str, *, above=None, at_least=None, below=None, at_most=None):
+    """A stage-config field that is also the configuration key of its name, parsed
+    by its default's type; ``_check_settings`` holds it to the bounds given."""
+    bounds = (">", gt, above), (">=", ge, at_least), ("<", lt, below), ("<=", le, at_most)
+    ranged = tuple(bound for bound in bounds if bound[2] is not None)
+    return field(default=default, metadata={"help": help, "range": ranged})
+
+
+def _check_settings(config) -> None:
+    """Reject a field of ``config`` that is a float and not finite, or a ``setting``
+    outside its bounds, with "<name> must be <relation> <bound>, got <value>"."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+        for relation, holds, bound in f.metadata.get("range", ()):
+            if not holds(value, bound):
+                raise ValueError(f"{f.name} must be {relation} {bound}, got {value}")
 
 
 def _write_file(path: str | Path, data: str | bytes) -> None:
@@ -183,8 +198,9 @@ class FeatureSequence:
             raise ValueError(
                 f"features must be a T x D matrix with T,D >= 1, got shape {feats.shape}"
             )
-        if not np.isfinite(feats).all():
-            raise ValueError(f"non-finite feature entry in video {self.video_id!r}")
+        if not (finite := np.isfinite(feats)).all():
+            row, column = np.argwhere(~finite)[0]
+            raise ValueError(f"video {self.video_id!r}: row {row}, column {column} is not finite")
         if not (0 < self.fps < np.inf):
             raise ValueError(f"fps must be positive and finite, got {self.fps}")
         object.__setattr__(self, "features", feats)
@@ -363,20 +379,17 @@ def load_feature_header(path: str | Path) -> tuple[int, int, float]:
 def load_features(path: str | Path, video_id: str | None = None) -> FeatureSequence:
     """Read a feature file, rejecting malformed headers and non-finite data.
 
-    ``video_id`` defaults to the file's stem.
+    ``video_id`` defaults to the file's stem. The features are a read-only
+    view of the file's bytes.
     """
     path = Path(path)
     raw = _read_bytes(path)
     T, D, fps = _parse_header(path, raw, len(raw))
     feats = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(T, D)
-    if not np.isfinite(feats).all():
-        bad = np.argwhere(~np.isfinite(feats))[0]
-        raise ValueError(f"{path}: non-finite value at row {bad[0]}, column {bad[1]}")
-    return FeatureSequence(
-        video_id=video_id if video_id is not None else path.stem,
-        features=feats.astype(np.float64),
-        fps=fps,
-    )
+    try:
+        return FeatureSequence(video_id if video_id is not None else path.stem, feats, fps)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import (
     FeatureSequence,
     _binary_fields,
+    _check_settings,
     _csv_text,
     _parallel_map,
     _read_bytes,
@@ -127,31 +128,20 @@ class TrainConfig:
     is ``stride`` frames apart.
     """
 
-    steps: int = setting(500, "training steps")
-    learning_rate: float = setting(1e-2, "gradient descent rate")
-    temperature: float = setting(0.1, "cycle-consistency softmax temperature")
-    variance_weight: float = setting(1e-3, "weight of the log-variance term")
-    variance_floor: float = setting(1e-6, "lower bound on the regression variance")
-    cidm_window: int = setting(5, "temporal neighborhood radius")
-    cidm_margin: float = setting(2.0, "hinge margin for far frame pairs")
-    cidm_weight: float = setting(1.0, "weight of the temporal-coherence term")
+    steps: int = setting(500, "training steps", at_least=0)
+    learning_rate: float = setting(1e-2, "gradient descent rate", above=0)
+    temperature: float = setting(0.1, "cycle-consistency softmax temperature", above=0)
+    variance_weight: float = setting(1e-3, "weight of the log-variance term", at_least=0)
+    variance_floor: float = setting(1e-6, "lower bound on the regression variance", above=0)
+    cidm_window: int = setting(5, "temporal neighborhood radius", at_least=1)
+    cidm_margin: float = setting(2.0, "hinge margin for far frame pairs", above=0)
+    cidm_weight: float = setting(1.0, "weight of the temporal-coherence term", at_least=0)
     seed: int = 0
-    hidden_dim: int = setting(32, "embedder hidden width")
-    embed_dim: int = setting(16, "embedding dimensionality")
+    hidden_dim: int = setting(32, "embedder hidden width", at_least=1)
+    embed_dim: int = setting(16, "embedding dimensionality", at_least=2)
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if not (self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not (self.temperature > 0):
-            raise ValueError("temperature must be positive")
-        if not (self.variance_floor > 0):
-            raise ValueError("variance_floor must be positive")
-        if self.variance_weight < 0 or self.cidm_weight < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.cidm_window < 1 or not (self.cidm_margin > 0):
-            raise ValueError("cidm_window must be >= 1 and cidm_margin positive")
+        _check_settings(self)
 
 
 @dataclass(frozen=True)
@@ -588,7 +578,10 @@ def load_params(path: str | Path) -> EmbedderParams:
     )
     flat = np.frombuffer(raw, dtype="<f8", offset=_PARAMS_HEADER.size).copy()
     W1, b1, W2, b2 = np.split(flat, np.cumsum([H * D, H, E * H]))
-    return EmbedderParams(W1=W1.reshape(H, D), b1=b1, W2=W2.reshape(E, H), b2=b2)
+    try:
+        return EmbedderParams(W1=W1.reshape(H, D), b1=b1, W2=W2.reshape(E, H), b2=b2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def format_loss_trace(trace: list[float]) -> str:

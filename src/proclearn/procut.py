@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KeyStepAssignment, _parallel_map, setting
+from .core import KeyStepAssignment, _check_settings, _parallel_map, setting
 
 __all__ = [
     "EnergyGraph",
@@ -106,20 +106,15 @@ class PcmConfig:
     """Localization settings; K defaults to ``SynthSpec``'s 5 key-steps."""
 
     K: int = 5
-    smoothness: float = setting(0.5, "n-link capacity between adjacent frames")
+    smoothness: float = setting(0.5, "n-link capacity between adjacent frames", at_least=0)
     background_bias: float = setting(0.0, "unary offset raising background prevalence")
-    kmeans_restarts: int = setting(8, "k-means restarts for foreground clustering")
+    kmeans_restarts: int = setting(8, "k-means restarts for foreground clustering", at_least=1)
     seed: int = 0
 
     def __post_init__(self):
+        _check_settings(self)
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
-        if self.smoothness < 0 or not np.isfinite(self.smoothness):
-            raise ValueError("smoothness must be finite and >= 0")
-        if not np.isfinite(self.background_bias):
-            raise ValueError("background_bias must be finite")
-        if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be >= 1")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .core import (
     KeyStepAssignment,
     KeyStepSegment,
     TaskAnnotation,
+    _check_settings,
     _csv_text,
     annotation_to_assignment,
     setting,
@@ -44,37 +45,26 @@ BENCHMARK_METHODS = ("cnc", "cluster_all", "random")
 @dataclass(frozen=True)
 class SynthSpec:
     K: int = 5
-    num_videos: int = setting(5, "videos per generated task")
-    frames_per_video: int = setting(200, "frames in each generated video")
-    feature_dim: int = setting(16, "raw feature dimensionality")
-    foreground_ratio_target: float = setting(0.6, "target key-step frame fraction")
-    missing_prob: float = setting(0.1, "chance each video drops each step")
-    repeat_prob: float = setting(0.1, "chance each video duplicates a step")
-    order_jitter: float = setting(0.1, "chance of swapping each adjacent step pair")
-    noise_sigma: float = setting(0.05, "feature noise scale")
+    num_videos: int = setting(5, "videos per generated task", at_least=2)
+    frames_per_video: int = setting(200, "frames in each generated video", at_least=1)
+    feature_dim: int = setting(16, "raw feature dimensionality", at_least=1)
+    foreground_ratio_target: float = setting(
+        0.6, "target key-step frame fraction", above=0, at_most=1
+    )
+    missing_prob: float = setting(0.1, "chance each video drops each step", at_least=0, below=1)
+    repeat_prob: float = setting(0.1, "chance each video duplicates a step", at_least=0, below=1)
+    order_jitter: float = setting(0.1, "chance of swapping each adjacent step pair", at_least=0)
+    noise_sigma: float = setting(0.05, "feature noise scale", at_least=0)
     seed: int = 7
 
     def __post_init__(self):
+        _check_settings(self)
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if self.K > self.frames_per_video:
             raise ValueError(
                 f"K={self.K} exceeds frames_per_video={self.frames_per_video}"
             )
-        if self.num_videos < 2:
-            raise ValueError(f"need at least 2 videos, got {self.num_videos}")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
-        if not (0.0 < self.foreground_ratio_target <= 1.0):
-            raise ValueError("foreground_ratio_target must lie in (0, 1]")
-        if not (0.0 <= self.missing_prob < 1.0):
-            raise ValueError("missing_prob must lie in [0, 1)")
-        if not (0.0 <= self.repeat_prob < 1.0):
-            raise ValueError("repeat_prob must lie in [0, 1)")
-        if self.order_jitter < 0:
-            raise ValueError("order_jitter must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
 
 
 def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:

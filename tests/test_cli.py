@@ -146,6 +146,18 @@ def test_config_error_in_file_exits_with_usage_error(tmp_path):
     assert main(["synth", "--out", str(tmp_path), "--config", str(config)]) == 2
 
 
+def test_a_bad_value_names_its_key_and_where_it_was_given(tmp_path, capsys):
+    out, config = tmp_path / "out", tmp_path / "run.cfg"
+    config.write_text("# training\n\nsteps = abc\n")
+    assert main(["synth", "--out", str(out), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"proclearn: config error: {config}:3: steps: expected an integer, got 'abc'" in err
+    assert main(["synth", "--out", str(out), "--steps", "1.5"]) == 2
+    err = capsys.readouterr().err
+    assert "proclearn: config error: --steps: expected an integer, got '1.5'" in err
+    assert not out.exists()
+
+
 def test_every_stage_config_field_is_a_key_with_its_default():
     keys = {spec.name: spec for spec in KEY_SPECS}
     for cls in (SynthSpec, TrainConfig, PcmConfig):
@@ -156,6 +168,21 @@ def test_every_stage_config_field_is_a_key_with_its_default():
             assert keys[field.name].help == field.metadata["help"], field.name
     assert keys["k"].default == SynthSpec.K
     assert keys["seed"].default == SynthSpec.seed
+
+
+_FLOAT_SETTINGS = [
+    pytest.param(cls, field.name, id=field.name)
+    for cls in (SynthSpec, TrainConfig, PcmConfig)
+    for field in fields(cls)
+    if "range" in field.metadata and isinstance(field.default, float)
+]
+
+
+@pytest.mark.parametrize("cls, name", _FLOAT_SETTINGS)
+def test_a_float_setting_must_be_finite(cls, name):
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            cls(**{name: value})
 
 
 def test_a_key_of_an_unparseable_type_fails():
@@ -572,6 +599,49 @@ def test_run_all_checks_every_stage_setting_before_it_writes(tmp_path, capsys, f
     assert not out.exists()
 
 
+def _just_outside(default, relation, bound):
+    """The value of ``default``'s type nearest ``bound`` that breaks ``relation``."""
+    if relation in ("<", ">"):
+        return type(default)(bound)
+    up = relation == "<="
+    if isinstance(default, int):
+        return bound + 1 if up else bound - 1
+    return float(np.nextafter(bound, np.inf if up else -np.inf))
+
+
+_OUT_OF_RANGE = [
+    pytest.param(
+        field.name, relation, bound, _just_outside(field.default, relation, bound),
+        id=f"{field.name}{relation}{bound}",
+    )
+    for cls in (SynthSpec, TrainConfig, PcmConfig)
+    for field in fields(cls)
+    for relation, _, bound in field.metadata.get("range", ())
+]
+
+
+@pytest.mark.parametrize("key, relation, bound, value", _OUT_OF_RANGE)
+def test_run_all_fails_first_just_outside_each_declared_range(
+    tmp_path, capsys, key, relation, bound, value
+):
+    out = tmp_path / "out"
+    assert main(["run-all", "--out", str(out), f"--{key}={value!r}"]) == 5
+    assert f"{key} must be {relation} {bound}, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_shows_each_declared_range(capsys):
+    with pytest.raises(SystemExit):
+        main(["run-all", "--help"])
+    lines = capsys.readouterr().out.splitlines()
+    for line in [
+        "  foreground_ratio_target   default 0.6: target key-step frame fraction (> 0, <= 1)",
+        "  hidden_dim                default 32: embedder hidden width (>= 1)",
+        "  background_bias           default 0.0: unary offset raising background prevalence",
+    ]:
+        assert line in lines
+
+
 def _rename_manifest_row(manifest: Path, row: int, video_id: str) -> None:
     lines = manifest.read_text().splitlines()
     lines[row] = f"{video_id},{lines[row].split(',', 1)[1]}"
@@ -639,6 +709,25 @@ def test_localize_names_a_non_finite_embedding_and_exits_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'video_00'" in err and "non-finite" in err
     assert not (out / "assignments").exists()
+
+
+def test_a_bad_parameter_file_exits_5_naming_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("synth", out) == 0
+    assert _run("train", out) == 0
+    path = out / "params.cncp"
+    raw = path.read_bytes()
+    E = load_params(path).embed_dim
+    # The last entry is b2's; a header of H = 0 holds b2's E entries alone.
+    for data, message in [
+        (raw[:-8] + struct.pack("<d", float("nan")), "non-finite entries in b2"),
+        (raw[:12] + struct.pack("<II", 0, E) + bytes(8 * E), "hidden dim must be >= 1, got 0"),
+    ]:
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert _run("localize", out) == 5
+        assert f"proclearn: invalid input: {path}: {message}\n" in capsys.readouterr().err
+        assert not (out / "assignments").exists()
 
 
 def test_diverging_training_exits_6_from_train(tmp_path, capsys):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,34 @@ def test_feature_file_payload_errors(tmp_path):
     path.write_bytes(header + payload)
     with pytest.raises(ValueError, match="row 1"):
         load_features(path)
+
+
+def test_a_non_finite_feature_names_its_row_and_column(tmp_path):
+    features = np.ones((3, 2))
+    features[2, 1] = np.inf
+    with pytest.raises(ValueError, match=r"^video 'a': row 2, column 1 is not finite$"):
+        FeatureSequence(video_id="a", features=features, fps=1.0)
+    path = tmp_path / "a.feat"
+    header = struct.pack("<4sIIId", b"CNCF", 1, 3, 2, 1.0)
+    path.write_bytes(header + features.astype("<f8").tobytes())
+    match = rf"^{re.escape(str(path))}: video 'a': row 2, column 1 is not finite$"
+    with pytest.raises(ValueError, match=match):
+        load_features(path)
+
+
+def test_load_features_holds_the_payload_once(tmp_path):
+    # The file's bytes and the finiteness mask (one byte an entry): no float64 copy.
+    T, D = 2000, 50
+    path = tmp_path / "big.feat"
+    save_features(path, FeatureSequence("big", np.ones((T, D)), 1.0))
+    tracemalloc.start()
+    try:
+        sequence = load_features(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sequence.features.shape == (T, D)
+    assert peak < 1.5 * T * D * 8
 
 
 # ---------------------------------------------------------------------------
