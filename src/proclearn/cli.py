@@ -12,8 +12,8 @@ declared with ``core.setting``, which gives its name, default, help and
 range, and its default's type (int or float) gives its parser, so a new field
 of those configs is a key with no edit here. Every output is written
 atomically by core's one file writer, and a fixed seed makes every command
-byte-reproducible. run-all builds every stage's config before it writes a
-file, so a bad setting fails first.
+byte-reproducible. Every command checks each given key against its declared
+range before it reads an input or writes a file, so a bad setting fails first.
 
 Stage seeding: generation uses the seed as given, training uses seed + 1,
 and localization (cut clustering and baselines) uses seed + 2, so stages
@@ -49,6 +49,7 @@ from .core import (
     TaskAnnotation,
     TaskManifest,
     UnreadableFileError,
+    _check_settings,
     _read_text,
     _write_file,
     annotation_to_assignment,
@@ -179,8 +180,9 @@ def _config_lines(path: Path) -> list[tuple[str, str, str]]:
 def resolve_config(args: argparse.Namespace) -> tuple[dict[str, object], set[str]]:
     """Merge defaults, config file, and flags; flags win, file beats defaults.
 
-    Returns the typed configuration plus the set of keys given explicitly
-    (by file or flag).
+    Each given value is parsed and held to its setting's range, or fails naming
+    its key and its flag or ``path:line``. Returns the typed configuration plus
+    the set of keys given explicitly (by file or flag).
     """
     values: dict[str, object] = {spec.name: spec.default for spec in KEY_SPECS}
     given = _config_lines(Path(args.config)) if args.config is not None else []
@@ -190,8 +192,10 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict[str, object], set[str
     for key, text, where in given:
         try:
             values[key] = _KEYS[key].parse(text)
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+            for cls in (SynthSpec, TrainConfig, PcmConfig):
+                _check_settings(cls, {key: values[key]})
+        except (ConfigError, ValueError) as exc:
+            raise type(exc)(f"{where}: {exc}") from None
     return values, {key for key, _, _ in given}
 
 
@@ -338,9 +342,6 @@ def cmd_stats(run: _Run) -> None:
 
 
 def cmd_run_all(run: _Run) -> None:
-    # Every stage's settings fail here, before a file is written or a step
-    # trained; localization clusters into the generated task's K.
-    _, _, pcm = run.synth_spec, run.train_config, run.pcm_config(run.synth_spec.K)
     cmd_synth(run)
     cmd_train(run)
     cmd_localize(run)
@@ -348,7 +349,7 @@ def cmd_run_all(run: _Run) -> None:
     cmd_evaluate(run)
     cmd_stats(run)
     gt = run.gt
-    results = compare_methods(run.embeddings, gt, pcm, run.assignment(gt.K))
+    results = compare_methods(run.embeddings, gt, run.pcm_config(gt.K), run.assignment(gt.K))
     _write_file(run.out / "benchmark.csv", format_benchmark(results))
 
 

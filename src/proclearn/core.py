@@ -86,17 +86,18 @@ class UnreadableFileError(OSError):
 
 def setting(default, help: str, *, above=None, at_least=None, below=None, at_most=None):
     """A stage-config field that is also the configuration key of its name, parsed
-    by its default's type; ``_check_settings`` holds it to the bounds given."""
+    by its default's type; ``_check_settings`` holds its values to the bounds given."""
     bounds = (">", gt, above), (">=", ge, at_least), ("<", lt, below), ("<=", le, at_most)
     ranged = tuple(bound for bound in bounds if bound[2] is not None)
     return field(default=default, metadata={"help": help, "range": ranged})
 
 
-def _check_settings(config) -> None:
-    """Reject a field of ``config`` that is a float and not finite, or a ``setting``
-    outside its bounds, with "<name> must be <relation> <bound>, got <value>"."""
-    for f in fields(config):
-        value = getattr(config, f.name)
+def _check_settings(cls, values) -> None:
+    """Reject a value in the mapping ``values``, keyed by a field name of ``cls``,
+    that is a float and not finite, or outside the bounds of that field's
+    ``setting``, with "<name> must be <relation> <bound>, got <value>"."""
+    for f in (f for f in fields(cls) if f.name in values):
+        value = values[f.name]
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
         for relation, holds, bound in f.metadata.get("range", ()):

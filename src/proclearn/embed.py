@@ -16,7 +16,8 @@ Every loss returns exact analytic gradients; the test suite checks them
 against central finite differences. Loss and gradient evaluations are pure;
 parameter updates during training are strictly sequential. Within one step,
 ``tc3i_loss`` runs its four terms (two cycle-back directions, two coherence
-terms) concurrently on the process's CPUs and adds them in a fixed order.
+terms) on threads once a pair's reads reach 2^16 entries (over 255 frames
+each), and adds them in a fixed order.
 
 No loss holds a full pair matrix: ``tcc_loss`` and ``cidm_loss`` walk their
 pair matrices in row blocks of at most _BLOCK_ENTRIES entries, written into a
@@ -98,10 +99,7 @@ class EmbedderParams:
         E = self.W2.shape[0]
         if self.b1.shape != (H,) or self.W2.shape != (E, H) or self.b2.shape != (E,):
             raise ValueError("parameter shapes are inconsistent")
-        if H < 1:
-            raise ValueError(f"hidden dim must be >= 1, got {H}")
-        if E < 2:
-            raise ValueError(f"embedding dim must be >= 2, got {E}")
+        _check_settings(TrainConfig, {"hidden_dim": H, "embed_dim": E})
 
     @property
     def input_dim(self) -> int:
@@ -141,7 +139,7 @@ class TrainConfig:
     embed_dim: int = setting(16, "embedding dimensionality", at_least=2)
 
     def __post_init__(self):
-        _check_settings(self)
+        _check_settings(TrainConfig, vars(self))
 
 
 @dataclass(frozen=True)

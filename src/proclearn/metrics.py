@@ -150,8 +150,8 @@ def hungarian(cost: np.ndarray) -> tuple[dict[int, int], float]:
     the remaining subproblem at the global optimum. Any matching through
     (row, col) costs at least the optimum plus that entry's reduced cost
     under the first solve's potentials, so a candidate whose reduced cost
-    exceeds the 1e-9 tolerance plus a rounding margin of 1e-9 n max|cost|
-    is skipped unsolved.
+    exceeds a slack of 1e-9 plus a rounding margin of 1e-9 n max|cost| is
+    skipped unsolved, and one within that slack of the optimum is taken.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
@@ -182,7 +182,7 @@ def hungarian(cost: np.ndarray) -> tuple[dict[int, int], float]:
                 continue
             rest_cols = [c for c in free_cols if c != col]
             candidate = fixed + padded[row, col] + optimum(padded[np.ix_(rest_rows, rest_cols)])
-            if candidate <= total + 1e-9:
+            if candidate <= total + slack:
                 assignment[row] = col
                 fixed += padded[row, col]
                 free_cols = rest_cols

@@ -79,9 +79,8 @@ class EnergyGraph:
             if not np.isfinite(arr).all() or (arr < 0).any():
                 raise ValueError(f"{name} entries must be finite and >= 0")
             object.__setattr__(self, name, arr)
-        if not (np.isfinite(self.smoothness) and self.smoothness >= 0):
-            raise ValueError(f"smoothness must be finite and >= 0, got {self.smoothness}")
         object.__setattr__(self, "smoothness", float(self.smoothness))
+        _check_settings(PcmConfig, {"smoothness": self.smoothness})
 
     @property
     def node_count(self) -> int:
@@ -112,7 +111,7 @@ class PcmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_settings(self)
+        _check_settings(PcmConfig, vars(self))
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
 
@@ -414,8 +413,7 @@ def cluster_foreground(
     points = np.asarray(points, dtype=np.float64)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    if kmeans_restarts < 1:
-        raise ValueError(f"kmeans_restarts must be >= 1, got {kmeans_restarts}")
+    _check_settings(PcmConfig, {"kmeans_restarts": kmeans_restarts})
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("need at least one foreground point")
     n = points.shape[0]

@@ -58,7 +58,7 @@ class SynthSpec:
     seed: int = 7
 
     def __post_init__(self):
-        _check_settings(self)
+        _check_settings(SynthSpec, vars(self))
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if self.K > self.frames_per_video:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 from proclearn.cli import (
     KEY_SPECS,
     ConfigError,
+    _COMMANDS,
     _FAILURES,
     _field_keys,
     build_parser,
@@ -438,9 +440,10 @@ def test_run_all_keeps_its_heap_between_steps_and_skips_numpy_ma(tmp_path):
         with open(tmp_path / f"steps{steps}.stderr", "w+") as err:
             proc = subprocess.Popen(command, stdout=subprocess.DEVNULL, stderr=err, env=env)
             _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)  # Popen did not reap it
             err.seek(0)
             stderr = err.read()
-        assert os.waitstatus_to_exitcode(status) == 0, stderr
+        assert proc.returncode == 0, stderr
         imported = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
                     if line.startswith("import time:")}
         assert "numpy" in imported and "numpy.ma" not in imported
@@ -630,6 +633,39 @@ def test_run_all_fails_first_just_outside_each_declared_range(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, relation, bound, value", _OUT_OF_RANGE)
+def test_every_command_fails_first_just_outside_each_declared_range(
+    tmp_path, capsys, key, relation, bound, value
+):
+    # --out does not exist, so a command that read an input first would exit 3.
+    out = tmp_path / "out"
+    for command in _COMMANDS:
+        assert main([command, "--out", str(out), f"--{key}={value!r}"]) == 5, command
+        message = f"--{key}: {key} must be {relation} {bound}, got {value!r}\n"
+        assert message in capsys.readouterr().err, command
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("noise_sigma", "-0.5", "must be >= 0, got -0.5"),
+        ("steps", "-3", "must be >= 0, got -3"),
+        ("kmeans_restarts", "0", "must be >= 1, got 0"),
+    ],
+    ids=["SynthSpec", "TrainConfig", "PcmConfig"],
+)
+def test_every_command_fails_first_on_a_config_file_value_out_of_range(
+    tmp_path, capsys, key, value, message
+):
+    config, out = tmp_path / "run.cfg", tmp_path / "out"
+    config.write_text(f"# out of range\n{key} = {value}\n")
+    for command in _COMMANDS:
+        assert main([command, "--out", str(out), "--config", str(config)]) == 5, command
+        assert f"{config}:2: {key}: {key} {message}\n" in capsys.readouterr().err, command
+        assert not out.exists()
+
+
 def test_help_shows_each_declared_range(capsys):
     with pytest.raises(SystemExit):
         main(["run-all", "--help"])
@@ -721,7 +757,7 @@ def test_a_bad_parameter_file_exits_5_naming_it(tmp_path, capsys):
     # The last entry is b2's; a header of H = 0 holds b2's E entries alone.
     for data, message in [
         (raw[:-8] + struct.pack("<d", float("nan")), "non-finite entries in b2"),
-        (raw[:12] + struct.pack("<II", 0, E) + bytes(8 * E), "hidden dim must be >= 1, got 0"),
+        (raw[:12] + struct.pack("<II", 0, E) + bytes(8 * E), "hidden_dim must be >= 1, got 0"),
     ]:
         path.write_bytes(data)
         capsys.readouterr()
@@ -757,3 +793,108 @@ def test_numeric_failure_exits_6(tmp_path):
     with np.errstate(all="ignore"):
         code = _run("train", out, "--temperature", "5e-324")
     assert code == 6
+
+
+# ---------------------------------------------------------------------------
+# One failure table for every input
+# ---------------------------------------------------------------------------
+
+# Each input kind: its path in the tree, the command that reads it, and the
+# bytes of each content fault made from the file's own bytes.
+_NAN = struct.pack("<d", float("nan"))
+
+
+def _cut_last_line(data: bytes) -> bytes:
+    """The text with its last line ending after that line's first comma."""
+    start = data.rindex(b"\n", 0, len(data) - 1) + 1
+    return data[: data.index(b",", start) + 1]
+
+
+_INPUTS = {
+    "manifest": ("manifest.csv", "stats", {
+        "undecodable": lambda data: data + b"video_\xff,x,-\n",
+        "truncated": _cut_last_line,
+        "non-finite": lambda data: b"task,synthetic,nan" + data[data.index(b"\n"):],
+        "out-of-domain": lambda data: b"task,synthetic,0" + data[data.index(b"\n"):],
+    }),
+    "config": ("run.cfg", "stats", {
+        "undecodable": lambda data: data + b"task_name = \xff\n",
+        "truncated": lambda data: data[: data.rindex(b"=") + 1],
+        "non-finite": lambda data: data + b"learning_rate = nan\n",
+        "out-of-domain": lambda data: data + b"steps = -3\n",
+    }),
+    "feature": ("features/video_01.feat", "localize", {
+        "undecodable": lambda data: b"JUNK" + data[4:],
+        "truncated": lambda data: data[:-8],
+        "non-finite": lambda data: data[:-8] + _NAN,
+        "out-of-domain": lambda data: data[:16] + struct.pack("<d", 0.0) + data[24:],
+    }),
+    "annotation": ("annotations/video_01.csv", "stats", {
+        "undecodable": lambda data: data + b"1.0,2.0,1 \xff\n",
+        "truncated": _cut_last_line,
+        "non-finite": lambda data: data + b"nan,0.5,1\n",
+        "out-of-domain": lambda data: data + b"0.0,0.1,9\n",
+    }),
+    "assignment": ("assignments/video_01.csv", "evaluate", {
+        "undecodable": lambda data: data + b"40,\xff\n",
+        "truncated": _cut_last_line,
+        "non-finite": lambda data: data + b"40,nan\n",
+        "out-of-domain": lambda data: data + b"40,9\n",
+    }),
+    "params": ("params.cncp", "localize", {
+        "undecodable": lambda data: b"JUNK" + data[4:],
+        "truncated": lambda data: data[:-8],
+        "non-finite": lambda data: data[:-8] + _NAN,
+        # H = 0: the payload then holds b2's E entries alone.
+        "out-of-domain": lambda data: data[:12] + struct.pack("<I", 0) + data[16:20]
+        + bytes(8 * struct.unpack_from("<I", data, 16)[0]),
+    }),
+}
+
+# The exit code each fault gives each input kind.
+_FAILURE_TABLE = {
+    #              missing directory undecodable truncated non-finite out-of-domain
+    "manifest":   (3,      3,        4,          4,        4,         4),
+    "config":     (3,      3,        2,          2,        2,         5),
+    "feature":    (3,      3,        4,          4,        5,         4),
+    "annotation": (3,      3,        4,          4,        5,         5),
+    "assignment": (3,      3,        4,          4,        4,         5),
+    "params":     (3,      3,        4,          4,        5,         5),
+}
+_FAULTS = ("missing", "directory", "undecodable", "truncated", "non-finite", "out-of-domain")
+
+
+@pytest.fixture(scope="module")
+def base_tree(tmp_path_factory):
+    """One small run-all tree, with a config file, that each row copies."""
+    out = tmp_path_factory.mktemp("failure-table") / "out"
+    args = ["--num_videos", "3", "--frames_per_video", "40", "--steps", "3"]
+    assert main(["run-all", "--out", str(out), *args]) == 0
+    (out / "run.cfg").write_text("# a valid config\nseed = 3\n")
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, fault, code",
+    [
+        pytest.param(kind, fault, code, id=f"{kind}-{fault}")
+        for kind, codes in _FAILURE_TABLE.items()
+        for fault, code in zip(_FAULTS, codes)
+    ],
+)
+def test_every_input_fault_exits_with_its_code_naming_the_file(
+    tmp_path, capsys, base_tree, kind, fault, code
+):
+    out = tmp_path / "out"
+    shutil.copytree(base_tree, out)
+    relative, command, content_faults = _INPUTS[kind]
+    path = out / relative
+    if fault in ("missing", "directory"):
+        path.unlink()
+        if fault == "directory":
+            path.mkdir()
+    else:
+        path.write_bytes(content_faults[fault](path.read_bytes()))
+    capsys.readouterr()
+    assert main([command, "--out", str(out), "--config", str(out / "run.cfg")]) == code
+    assert str(path) in capsys.readouterr().err

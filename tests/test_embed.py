@@ -396,6 +396,19 @@ def test_cycle_loss_error_names_the_global_frame():
             tcc_loss(A, B, 0.5, 1e-3, 1e-6)
 
 
+def test_cycle_loss_error_in_a_later_block_names_the_global_frame():
+    # ||a_7||^2 = 1e308 is finite, but a_7's logit against the equal row of B
+    # overflows, so frame 7's loss is inf - inf in the block of rows 6 and 7.
+    rng = np.random.default_rng(39)
+    A = rng.standard_normal((10, 3))
+    A[7] = [1e154, 0.0, 0.0]
+    B = rng.standard_normal((4, 3))
+    B[2] = A[7]
+    with _row_blocks_of(20), np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite cycle loss at frame 7$"):
+            tcc_loss(A, B, 0.5, 1e-3, 1e-6)
+
+
 def test_cidm_held_memory_does_not_grow_with_video_lengths():
     # Nothing is kept between calls: twelve distinct lengths must not leave
     # twelve pairs of T x T matrices behind.

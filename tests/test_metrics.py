@@ -113,6 +113,20 @@ def test_hungarian_matches_brute_force():
         assert assignment == expected_assignment
 
 
+def test_hungarian_matches_brute_force_on_large_float_costs():
+    # Rounding at these scales exceeds any absolute tolerance: the refinement
+    # must accept and prune with the margin that grows with max|cost|.
+    rng = np.random.default_rng(29)
+    for trial in range(400):
+        n = int(rng.integers(2, 7))
+        scale = 10.0 ** int(rng.integers(8, 16))
+        cost = rng.uniform(-scale, scale, size=(n, n)) if trial % 2 else rng.random((n, n)) * scale
+        assignment, total = hungarian(cost)
+        expected_assignment, expected_total = brute_force_assignment(cost)
+        assert assignment == expected_assignment
+        assert total == pytest.approx(expected_total, rel=1e-12, abs=0)
+
+
 def test_hungarian_refinement_solves_few_subproblems(monkeypatch):
     # A negated 21 x 21 overlap matrix as match_labels builds at K = 20:
     # 60% of frames carry a permuted true label, the rest a random one.
