@@ -50,6 +50,7 @@ from .core import (
     TaskManifest,
     UnreadableFileError,
     _check_settings,
+    _naming,
     _read_text,
     _write_file,
     annotation_to_assignment,
@@ -77,7 +78,7 @@ from .synthbench import SynthSpec, compare_methods, format_benchmark, generate
 __all__ = ["main", "run"]
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Unknown key, bad syntax, or unparseable value in configuration."""
 
 
@@ -165,15 +166,15 @@ def _config_lines(path: Path) -> list[tuple[str, str, str]]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in _KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in raw:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = key, value.strip(), f"{path}:{lineno}: {key}"
+        key, equals, value = (part.strip() for part in stripped.partition("="))
+        with _naming(f"{path}:{lineno}"):
+            if not equals:
+                raise ConfigError("expected 'key = value'")
+            if key not in _KEYS:
+                raise ConfigError(f"unknown key {key!r}")
+            if key in raw:
+                raise ConfigError(f"duplicate key {key!r}")
+        raw[key] = key, value, f"{path}:{lineno}: {key}"
     return list(raw.values())
 
 
@@ -190,12 +191,10 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict[str, object], set[str
         if getattr(args, spec.name) is not None:
             given.append((spec.name, getattr(args, spec.name), f"--{spec.name}"))
     for key, text, where in given:
-        try:
+        with _naming(where):
             values[key] = _KEYS[key].parse(text)
             for cls in (SynthSpec, TrainConfig, PcmConfig):
                 _check_settings(cls, {key: values[key]})
-        except (ConfigError, ValueError) as exc:
-            raise type(exc)(f"{where}: {exc}") from None
     return values, {key for key, _, _ in given}
 
 
@@ -272,13 +271,13 @@ class _Run:
     def labels_path(self, video_id: str) -> Path:
         return self.out / "assignments" / f"{video_id}.csv"
 
-    def assignment(self, K: int) -> KeyStepAssignment:
-        """``labels`` over K key-steps; a label outside 0..K fails naming its file."""
+    def assignment(self, K: int, gt: KeyStepAssignment | None = None) -> KeyStepAssignment:
+        """``labels`` over K key-steps; each file holds labels in 0..K, one per ``gt`` frame."""
         for video_id, labels in self.labels.items():
-            try:
+            with _naming(self.labels_path(video_id)):
                 KeyStepAssignment(per_video={video_id: labels}, K=K)
-            except ValueError as exc:
-                raise ValueError(f"{self.labels_path(video_id)}: {exc}") from None
+                if gt is not None and len(labels) != len(frames := gt.per_video[video_id]):
+                    raise ValueError(f"{len(labels)} labels for {len(frames)} frames")
         return KeyStepAssignment(per_video=self.labels, K=K)
 
 
@@ -328,13 +327,15 @@ def cmd_localize(run: _Run) -> None:
 
 
 def cmd_order(run: _Run) -> None:
-    ordering = keystep_order(run.assignment(_resolved_k(run)))
+    assignment = run.assignment(_resolved_k(run))
+    with _naming(run.out / "assignments"):
+        ordering = keystep_order(assignment)
     _write_file(run.out / "order.csv", format_order(ordering))
 
 
 def cmd_evaluate(run: _Run) -> None:
     gt = run.gt
-    _write_file(run.out / "metrics.csv", format_report(full_report(run.assignment(gt.K), gt)))
+    _write_file(run.out / "metrics.csv", format_report(full_report(run.assignment(gt.K, gt), gt)))
 
 
 def cmd_stats(run: _Run) -> None:

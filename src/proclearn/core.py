@@ -19,7 +19,8 @@ Each file family has one reader and one writer here, used by every module:
 (features here, embedder parameters in ``embed``). Every writer ends in the
 atomic ``_write_file`` (a temp file in the target's directory, then a rename).
 Every input file is opened by ``_open_input``, and every text file, the CLI's
-config file too, is read as UTF-8 by ``_read_text``.
+config file too, is read as UTF-8 by ``_read_text``. Only ``_naming``, and
+``_open_input`` for an OSError, puts a file, line or flag before an error's message.
 
 Everything here is a pure function over immutable inputs; values are safe
 to share across threads for reading. ``_parallel_map`` is the package's one
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import ge, gt, le, lt
@@ -90,6 +92,18 @@ def setting(default, help: str, *, above=None, at_least=None, below=None, at_mos
     bounds = (">", gt, above), (">=", ge, at_least), ("<", lt, below), ("<=", le, at_most)
     ranged = tuple(bound for bound in bounds if bound[2] is not None)
     return field(default=default, metadata={"help": help, "range": ranged})
+
+
+class _naming(AbstractContextManager):
+    """A scope that raises a ValueError from its block again, of the same type, as
+    "{where}: <message>". A class, not a generator: a CSV reader enters one per row."""
+
+    def __init__(self, where):
+        self.where = where
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, ValueError):
+            raise type(exc)(f"{self.where}: {exc}") from None
 
 
 def _check_settings(cls, values) -> None:
@@ -267,7 +281,7 @@ class TaskAnnotation:
             duration = self.durations[video_id]
             if not (duration > 0):
                 raise AnnotationError(f"duration of {video_id!r} must be positive")
-            _check_segments(segments, duration, self.K, repr(video_id))
+            _check_segments([(repr(video_id), seg) for seg in segments], duration, self.K)
 
     @property
     def num_videos(self) -> int:
@@ -334,33 +348,32 @@ def _write_binary(path, layout, magic, version, values, arrays) -> None:
     _write_file(path, layout.pack(magic, version, *values) + b"".join(blobs))
 
 
-def _binary_fields(path, head, size, layout, magic, version, floats: Callable[..., int]):
+def _binary_fields(head, size, layout, magic, version, floats: Callable[..., int]):
     """The fields after magic and version of a ``size``-byte binary file whose
     ``head`` starts with a ``layout`` header and ``floats(*fields)`` f64 values follow."""
     if size < layout.size:
-        raise TruncatedFileError(f"{path}: file shorter than its {layout.size}-byte header")
+        raise TruncatedFileError(f"file shorter than its {layout.size}-byte header")
     found_magic, found_version, *values = layout.unpack_from(head)
     if found_magic != magic:
-        raise FileFormatError(f"{path}: bad magic {found_magic!r}")
+        raise FileFormatError(f"bad magic {found_magic!r}")
     if found_version != version:
-        raise FileFormatError(f"{path}: unsupported version {found_version}")
+        raise FileFormatError(f"unsupported version {found_version}")
     held, expected = size - layout.size, 8 * floats(*values)
     if held < expected:
-        raise TruncatedFileError(f"{path}: payload holds {held} bytes, expected {expected}")
+        raise TruncatedFileError(f"payload holds {held} bytes, expected {expected}")
     if held > expected:
-        raise FileFormatError(f"{path}: {held - expected} trailing bytes")
+        raise FileFormatError(f"{held - expected} trailing bytes")
     return values
 
 
-def _parse_header(path: Path, head: bytes, size: int) -> tuple[int, int, float]:
+def _parse_header(head: bytes, size: int) -> tuple[int, int, float]:
     """Check a feature file's header against the file's byte size; return T, D, fps."""
-    T, D, fps = _binary_fields(
-        path, head, size, _HEADER, FEATURE_MAGIC, FEATURE_VERSION, lambda T, D, fps: T * D
-    )
+    T, D, fps = _binary_fields(head, size, _HEADER, FEATURE_MAGIC, FEATURE_VERSION,
+                               lambda T, D, fps: T * D)
     if T < 1 or D < 1:
-        raise FileFormatError(f"{path}: header declares empty matrix ({T} x {D})")
+        raise FileFormatError(f"header declares empty matrix ({T} x {D})")
     if not 0 < fps < np.inf:
-        raise FileFormatError(f"{path}: header declares fps {fps}; it must be positive and finite")
+        raise FileFormatError(f"header declares fps {fps}; it must be positive and finite")
     return T, D, fps
 
 
@@ -371,10 +384,8 @@ def load_feature_header(path: str | Path) -> tuple[int, int, float]:
     the payload length comes from the file size.
     """
     path = Path(path)
-    with _open_input(path) as handle:
-        head = handle.read(_HEADER.size)
-        size = os.fstat(handle.fileno()).st_size
-    return _parse_header(path, head, size)
+    with _open_input(path) as handle, _naming(path):
+        return _parse_header(handle.read(_HEADER.size), os.fstat(handle.fileno()).st_size)
 
 
 def load_features(path: str | Path, video_id: str | None = None) -> FeatureSequence:
@@ -385,12 +396,10 @@ def load_features(path: str | Path, video_id: str | None = None) -> FeatureSeque
     """
     path = Path(path)
     raw = _read_bytes(path)
-    T, D, fps = _parse_header(path, raw, len(raw))
-    feats = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(T, D)
-    try:
+    with _naming(path):
+        T, D, fps = _parse_header(raw, len(raw))
+        feats = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(T, D)
         return FeatureSequence(video_id if video_id is not None else path.stem, feats, fps)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +432,13 @@ def _read_bytes(path: Path) -> bytes:
         return handle.read()
 
 
-def _read_text(path: Path, error: type[Exception] = FileFormatError) -> str:
+def _read_text(path: Path, error: type[ValueError] = FileFormatError) -> str:
     """A text file's contents; bytes that are not UTF-8 raise ``error`` naming the file."""
-    try:
-        return _read_bytes(path).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    with _naming(path):
+        try:
+            return _read_bytes(path).decode("utf-8")
+        except UnicodeDecodeError as exc:  # its constructor takes five arguments, not one
+            raise error(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _csv_rows(path: Path, header: str, types: tuple[Callable[[str], object], ...]):
@@ -439,19 +449,20 @@ def _csv_rows(path: Path, header: str, types: tuple[Callable[[str], object], ...
     numbered = [(lineno, parts) for lineno, line in lines if (parts := _fields(line))]
     pattern = header.split(",")
     head = numbered[0][1] if numbered else []
-    if len(head) != len(pattern) or any(
-        want != got for want, got in zip(pattern, head) if not want.startswith("<")
-    ):
-        raise FileFormatError(f"{path}: missing '{header}' header")
+    with _naming(path):
+        if len(head) != len(pattern) or any(
+            want != got for want, got in zip(pattern, head) if not want.startswith("<")
+        ):
+            raise FileFormatError(f"missing '{header}' header")
     rows = []
     for lineno, parts in numbered[1:]:
-        if len(parts) != len(types):
-            got = f"expected {len(types)} fields, got {len(parts)}"
-            raise FileFormatError(f"{path}:{lineno}: {got}")
-        try:
-            rows.append((lineno, [parse(part) for parse, part in zip(types, parts)]))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+        with _naming(f"{path}:{lineno}"):
+            if len(parts) != len(types):
+                raise FileFormatError(f"expected {len(types)} fields, got {len(parts)}")
+            try:
+                rows.append((lineno, [parse(part) for parse, part in zip(types, parts)]))
+            except ValueError as exc:
+                raise FileFormatError(exc) from None
     return head, rows
 
 
@@ -487,41 +498,37 @@ def parse_annotation_file(
 
     Segments must carry labels in 1..K, lie within [0, duration], and be
     pairwise non-overlapping (repeating a label in disjoint segments is fine).
-    A segment that ``KeyStepSegment`` rejects names the file and its line.
+    Each error names the file and the segment's line, an overlap the later one's.
     """
     path = Path(path)
     _, rows = _csv_rows(path, ANNOTATION_HEADER, (float, float, int))
-    segments = []
+    located = []
     for lineno, values in rows:
-        try:
-            segments.append(KeyStepSegment(*values))
-        except AnnotationError as exc:
-            raise AnnotationError(f"{path}:{lineno}: {exc}") from None
-    _check_segments(segments, duration, K, str(path))
-    return segments
+        where = f"{path}:{lineno}"
+        with _naming(where):
+            located.append((where, KeyStepSegment(*values)))
+    _check_segments(located, duration, K)
+    return [seg for _, seg in located]
 
 
-def _check_segments(
-    segments: list[KeyStepSegment], duration: float, K: int, where: str
-) -> None:
+def _check_segments(located: list[tuple[str, KeyStepSegment]], duration: float, K: int) -> None:
     """Reject labels above K, ends past ``duration``, and overlapping segments.
 
-    ``where`` names the file or video in the error message.
+    ``located`` holds (source, segment) pairs; each error is raised in the
+    ``_naming`` scope of its segment's source, an overlap in the later one's.
     """
-    for seg in segments:
-        if seg.label_id > K:
-            raise AnnotationError(f"{where}: label {seg.label_id} exceeds K={K}")
-        if seg.end_s > duration + 1e-9:
-            raise AnnotationError(
-                f"{where}: segment end {seg.end_s} exceeds duration {duration}"
-            )
-    ordered = sorted(segments, key=lambda s: s.start_s)
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur.start_s < prev.end_s:
-            raise AnnotationError(
-                f"{where}: segments ({prev.start_s},{prev.end_s}) and "
-                f"({cur.start_s},{cur.end_s}) overlap"
-            )
+    for where, seg in located:
+        with _naming(where):
+            if seg.label_id > K:
+                raise AnnotationError(f"label {seg.label_id} exceeds K={K}")
+            if seg.end_s > duration + 1e-9:
+                raise AnnotationError(f"segment end {seg.end_s} exceeds duration {duration}")
+    ordered = sorted(located, key=lambda pair: pair[1].start_s)
+    for (_, prev), (where, cur) in zip(ordered, ordered[1:]):
+        with _naming(where):
+            if cur.start_s < prev.end_s:
+                pair = f"({prev.start_s},{prev.end_s}) and ({cur.start_s},{cur.end_s})"
+                raise AnnotationError(f"segments {pair} overlap")
 
 
 def save_annotation_file(path: str | Path, segments: list[KeyStepSegment]) -> None:
@@ -627,25 +634,26 @@ def load_manifest(path: str | Path) -> TaskManifest:
     path = Path(path)
     base = path.parent
     head, rows = _csv_rows(path, "task,<task_name>,<K>", (str, str, str))
-    try:
-        K = int(head[2])
-    except ValueError:
-        raise FileFormatError(f"{path}: K must be an integer, got {head[2]!r}") from None
-    if K < 1:
-        raise FileFormatError(f"{path}: K must be >= 1, got {K}")
+    with _naming(path):
+        try:
+            K = int(head[2])
+        except ValueError:
+            raise FileFormatError(f"K must be an integer, got {head[2]!r}") from None
+        if K < 1:
+            raise FileFormatError(f"K must be >= 1, got {K}")
+        if not rows:
+            raise FileFormatError("manifest lists no videos")
     entries, first_line = [], {}
     separators = {"/", os.sep, os.altsep} - {None}
     for lineno, (video_id, feature_file, annotation_file) in rows:
-        if video_id in ("", ".", "..") or any(sep in video_id for sep in separators):
-            raise FileFormatError(f"{path}:{lineno}: video id {video_id!r} is not a file name")
-        if video_id in first_line:
-            where = f"{path}:{lineno}: video id {video_id!r}"
-            raise FileFormatError(f"{where} repeats line {first_line[video_id]}")
+        with _naming(f"{path}:{lineno}"):
+            if video_id in ("", ".", "..") or any(sep in video_id for sep in separators):
+                raise FileFormatError(f"video id {video_id!r} is not a file name")
+            if video_id in first_line:
+                raise FileFormatError(f"video id {video_id!r} repeats line {first_line[video_id]}")
         first_line[video_id] = lineno
         annotation_path = None if annotation_file == "-" else base / annotation_file
         entries.append(ManifestEntry(video_id, base / feature_file, annotation_path))
-    if not entries:
-        raise FileFormatError(f"{path}: manifest lists no videos")
     return TaskManifest(task_name=head[1], K=K, entries=entries)
 
 
@@ -694,9 +702,8 @@ def save_assignment_file(path: str | Path, labels: np.ndarray) -> None:
 def load_assignment_file(path: str | Path) -> np.ndarray:
     path = Path(path)
     _, rows = _csv_rows(path, ASSIGNMENT_HEADER, (int, int))
-    labels = []
-    for lineno, (frame, label) in rows:
-        if frame != len(labels):
-            raise FileFormatError(f"{path}:{lineno}: frames must be contiguous from 0")
-        labels.append(label)
-    return np.asarray(labels, dtype=np.int64)
+    for index, (lineno, (frame, _)) in enumerate(rows):
+        if frame != index:
+            with _naming(f"{path}:{lineno}"):
+                raise FileFormatError("frames must be contiguous from 0")
+    return np.array([label for _, (_, label) in rows], dtype=np.int64)

@@ -47,6 +47,7 @@ from .core import (
     _binary_fields,
     _check_settings,
     _csv_text,
+    _naming,
     _parallel_map,
     _read_bytes,
     _write_binary,
@@ -206,16 +207,14 @@ def embed_sequence(params: EmbedderParams, sequence: FeatureSequence) -> np.ndar
     with the parameters, or, with the frame, when a row's norm is zero or not
     finite: these parameters cannot embed this video.
     """
-    if sequence.feature_dim != params.input_dim:
-        raise ValueError(
-            f"video {sequence.video_id!r}: feature dim {sequence.feature_dim} does not "
-            f"match embedder input dim {params.input_dim}"
-        )
-    try:
-        embedded, _ = _forward(params, sequence.features)
-    except (FloatingPointError, ValueError) as exc:
-        raise ValueError(f"video {sequence.video_id!r}: {exc}") from None
-    return embedded
+    with _naming(f"video {sequence.video_id!r}"):
+        if sequence.feature_dim != params.input_dim:
+            raise ValueError(f"feature dim {sequence.feature_dim} does not match "
+                             f"embedder input dim {params.input_dim}")
+        try:
+            return _forward(params, sequence.features)[0]
+        except FloatingPointError as exc:
+            raise ValueError(exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -570,16 +569,12 @@ def save_params(path: str | Path, params: EmbedderParams) -> None:
 def load_params(path: str | Path) -> EmbedderParams:
     path = Path(path)
     raw = _read_bytes(path)
-    D, H, E = _binary_fields(
-        path, raw, len(raw), _PARAMS_HEADER, PARAMS_MAGIC, PARAMS_VERSION,
-        lambda D, H, E: H * D + H + E * H + E,
-    )
-    flat = np.frombuffer(raw, dtype="<f8", offset=_PARAMS_HEADER.size).copy()
-    W1, b1, W2, b2 = np.split(flat, np.cumsum([H * D, H, E * H]))
-    try:
+    with _naming(path):
+        D, H, E = _binary_fields(raw, len(raw), _PARAMS_HEADER, PARAMS_MAGIC, PARAMS_VERSION,
+                                 lambda D, H, E: H * D + H + E * H + E)
+        flat = np.frombuffer(raw, dtype="<f8", offset=_PARAMS_HEADER.size).copy()
+        W1, b1, W2, b2 = np.split(flat, np.cumsum([H * D, H, E * H]))
         return EmbedderParams(W1=W1.reshape(H, D), b1=b1, W2=W2.reshape(E, H), b2=b2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def format_loss_trace(trace: list[float]) -> str:

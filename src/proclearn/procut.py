@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KeyStepAssignment, _check_settings, _parallel_map, setting
+from .core import KeyStepAssignment, _check_settings, _naming, _parallel_map, setting
 
 __all__ = [
     "EnergyGraph",
@@ -130,18 +130,15 @@ def _embedding_matrices(embeddings: dict) -> list[np.ndarray]:
     mats = []
     for name, E in zip(names, embeddings.values()):
         M = np.asarray(E, dtype=np.float64)
-        if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
-            raise ValueError(
-                f"video {name}: embedding must be a non-empty T x E matrix, "
-                f"got shape {M.shape}"
-            )
-        if not np.isfinite(M).all():
-            raise ValueError(f"video {name}: embedding has non-finite entries")
-        if mats and M.shape[1] != mats[0].shape[1]:
-            raise ValueError(
-                f"video {name}: embedding width {M.shape[1]} differs from "
-                f"video {names[0]}'s {mats[0].shape[1]}"
-            )
+        with _naming(f"video {name}"):
+            if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
+                got = f"got shape {M.shape}"
+                raise ValueError(f"embedding must be a non-empty T x E matrix, {got}")
+            if not np.isfinite(M).all():
+                raise ValueError("embedding has non-finite entries")
+            if mats and M.shape[1] != mats[0].shape[1]:
+                width = f"{M.shape[1]} differs from video {names[0]}'s {mats[0].shape[1]}"
+                raise ValueError(f"embedding width {width}")
         mats.append(M)
     return mats
 

@@ -863,6 +863,15 @@ _FAILURE_TABLE = {
 }
 _FAULTS = ("missing", "directory", "undecodable", "truncated", "non-finite", "out-of-domain")
 
+# The rows whose fault lies on one line, the file's last: their message names
+# ``path:line``; every other row names the path alone.
+_ONE_LINE = {
+    ("manifest", "truncated"),
+    ("config", "truncated"), ("config", "non-finite"), ("config", "out-of-domain"),
+    ("annotation", "truncated"), ("annotation", "non-finite"), ("annotation", "out-of-domain"),
+    ("assignment", "truncated"), ("assignment", "non-finite"),
+}
+
 
 @pytest.fixture(scope="module")
 def base_tree(tmp_path_factory):
@@ -889,12 +898,47 @@ def test_every_input_fault_exits_with_its_code_naming_the_file(
     shutil.copytree(base_tree, out)
     relative, command, content_faults = _INPUTS[kind]
     path = out / relative
+    source = str(path)
     if fault in ("missing", "directory"):
         path.unlink()
         if fault == "directory":
             path.mkdir()
     else:
-        path.write_bytes(content_faults[fault](path.read_bytes()))
+        path.write_bytes(data := content_faults[fault](path.read_bytes()))
+        if (kind, fault) in _ONE_LINE:
+            source = f"{path}:{len(data.splitlines())}"
     capsys.readouterr()
     assert main([command, "--out", str(out), "--config", str(out / "run.cfg")]) == code
-    assert str(path) in capsys.readouterr().err
+    prefix = next(prefix for _, row_code, prefix, _ in _FAILURES if row_code == code)
+    # A missing file's message is its path alone; any other names its source first.
+    named = f"{source}\n" if fault == "missing" else f"{source}: "
+    assert capsys.readouterr().err.startswith(f"proclearn: {prefix}: {named}")
+
+
+@pytest.mark.parametrize("keep", [39, 41])
+def test_an_assignment_of_the_wrong_length_exits_5_naming_its_file(
+    tmp_path, capsys, base_tree, keep
+):
+    out = tmp_path / "out"
+    shutil.copytree(base_tree, out)
+    path = out / "assignments" / "video_02.csv"
+    save_assignment_file(path, np.resize(load_assignment_file(path), keep))
+    capsys.readouterr()
+    assert main(["evaluate", "--out", str(out)]) == 5
+    message = f"proclearn: invalid input: {path}: {keep} labels for 40 frames\n"
+    assert capsys.readouterr().err == message
+    assert (out / "metrics.csv").read_bytes() == (base_tree / "metrics.csv").read_bytes()
+
+
+def test_order_on_an_all_background_tree_exits_5_naming_the_assignments(
+    tmp_path, capsys, base_tree
+):
+    out = tmp_path / "out"
+    shutil.copytree(base_tree, out)
+    assignments = out / "assignments"
+    for path in assignments.iterdir():
+        save_assignment_file(path, np.zeros(40, dtype=np.int64))
+    capsys.readouterr()
+    assert main(["order", "--out", str(out)]) == 5
+    message = "assignment contains no key-step frames to order"
+    assert capsys.readouterr().err == f"proclearn: invalid input: {assignments}: {message}\n"

@@ -41,6 +41,7 @@ from proclearn.core import (
     segments_to_frame_labels,
     _csv_rows,
     _csv_text,
+    _naming,
 )
 from proclearn.embed import TrainConfig, embed_sequence, train_embedder
 from proclearn.procut import PcmConfig, localize
@@ -268,6 +269,9 @@ def test_annotation_file_domain_errors(tmp_path):
         ("nan,5.0,1", "segment start nan must precede end 5.0"),
         ("-1,1,1", "segment start -1.0 < 0"),
         ("0,1,0", "label_id 0 < 1"),
+        ("1,2,3", "label 3 exceeds K=2"),
+        ("1,10,1", "segment end 10.0 exceeds duration 9.0"),
+        ("0.5,2,1", "segments (0.0,1.0) and (0.5,2.0) overlap"),
     ],
 )
 def test_annotation_segment_errors_name_the_file_and_line(tmp_path, line, reason):
@@ -276,6 +280,49 @@ def test_annotation_segment_errors_name_the_file_and_line(tmp_path, line, reason
     with pytest.raises(AnnotationError) as excinfo:
         parse_annotation_file(path, 9.0, 2)
     assert str(excinfo.value) == f"{path}:4: {reason}"
+
+
+@pytest.mark.parametrize("error", [ValueError, FileFormatError, TruncatedFileError])
+def test_naming_puts_the_source_first_and_keeps_the_error_type(error):
+    with pytest.raises(error) as excinfo:
+        with _naming("data/v.csv:3"):
+            raise error("bad value")
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == "data/v.csv:3: bad value"
+
+
+def test_naming_lets_other_errors_and_a_clean_block_through():
+    with pytest.raises(KeyError) as excinfo:
+        with _naming("v.csv"):
+            raise KeyError("k")
+    assert excinfo.value.args == ("k",)
+    with _naming("v.csv"):
+        pass
+
+
+def test_an_annotation_overlap_names_the_line_of_the_segment_that_starts_later(tmp_path):
+    path = tmp_path / "v.csv"
+    path.write_text("start,end,label\n4,5,1\n2,3,1\n1,2.5,2\n")
+    with pytest.raises(AnnotationError) as excinfo:
+        parse_annotation_file(path, 9.0, 2)
+    assert str(excinfo.value) == f"{path}:3: segments (1.0,2.5) and (2.0,3.0) overlap"
+
+
+@pytest.mark.parametrize(
+    "segments, reason",
+    [
+        ([KeyStepSegment(0, 1, 3)], "label 3 exceeds K=2"),
+        ([KeyStepSegment(0, 3, 1)], "segment end 3.0 exceeds duration 2.0"),
+        (
+            [KeyStepSegment(0, 1, 1), KeyStepSegment(0.5, 2, 1)],
+            "segments (0.0,1.0) and (0.5,2.0) overlap",
+        ),
+    ],
+)
+def test_task_annotation_segment_errors_name_the_video(segments, reason):
+    with pytest.raises(AnnotationError) as excinfo:
+        TaskAnnotation(task_name="t", K=2, per_video={"v": segments}, durations={"v": 2.0})
+    assert str(excinfo.value) == f"'v': {reason}"
 
 
 def test_annotation_file_skips_blank_lines(tmp_path):
