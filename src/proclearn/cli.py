@@ -123,20 +123,21 @@ class KeySpec:
 _TYPE_PARSERS: dict[type, Callable[[str], object]] = {int: _parse_int, float: _parse_float}
 
 
+def _field_key(cls, field, name: str = "", help: str = "") -> KeySpec:
+    """The key ``name`` (default: the field's) that sets ``field`` of ``cls``, parsed by
+    its default's type; a type other than int or float raises TypeError."""
+    parse = _TYPE_PARSERS.get(type(field.default))
+    if parse is None:
+        raise TypeError(f"{cls.__name__}.{field.name}: no parser for {field.default!r}")
+    bounds = ", ".join(f"{relation} {bound}" for relation, _, bound in field.metadata["range"])
+    return KeySpec(name or field.name, parse, field.default, help or field.metadata["help"],
+                   f" ({bounds})" if bounds else "")
+
+
 def _field_keys(cls) -> list[KeySpec]:
-    """A stage config's fields declared by ``setting`` as keys, parsed by their
-    default's type; a type other than int or float raises TypeError."""
-    specs = []
-    for field in fields(cls):
-        if "help" not in field.metadata:
-            continue  # K and seed, which each stage sets itself
-        parse = _TYPE_PARSERS.get(type(field.default))
-        if parse is None:
-            raise TypeError(f"{cls.__name__}.{field.name}: no parser for {field.default!r}")
-        bounds = ", ".join(f"{relation} {bound}" for relation, _, bound in field.metadata["range"])
-        bounds = f" ({bounds})" if bounds else ""
-        specs.append(KeySpec(field.name, parse, field.default, field.metadata["help"], bounds))
-    return specs
+    """A stage config's fields declared by ``setting`` with a help, as keys; K and
+    seed, which each stage sets itself, have none."""
+    return [_field_key(cls, field) for field in fields(cls) if field.metadata.get("help")]
 
 
 KEY_SPECS: tuple[KeySpec, ...] = (
@@ -144,8 +145,8 @@ KEY_SPECS: tuple[KeySpec, ...] = (
     KeySpec("manifest", str.strip, "", "manifest path (default: <out>/manifest.csv)"),
     KeySpec("seed", _parse_u64, SynthSpec.seed, "global seed; stages derive their own streams"),
     KeySpec("task_name", str.strip, "synthetic", "task name for generated data"),
-    KeySpec("k", _parse_int, SynthSpec.K,
-            "number of key-steps (localize/order default to the manifest's)"),
+    _field_key(SynthSpec, SynthSpec.__dataclass_fields__["K"], "k",
+               "number of key-steps (localize/order default to the manifest's)"),
     *_field_keys(SynthSpec),
     *_field_keys(TrainConfig),
     *_field_keys(PcmConfig),
@@ -181,9 +182,9 @@ def _config_lines(path: Path) -> list[tuple[str, str, str]]:
 def resolve_config(args: argparse.Namespace) -> tuple[dict[str, object], set[str]]:
     """Merge defaults, config file, and flags; flags win, file beats defaults.
 
-    Each given value is parsed and held to its setting's range, or fails naming
-    its key and its flag or ``path:line``. Returns the typed configuration plus
-    the set of keys given explicitly (by file or flag).
+    Each given value is parsed and held to its setting's range (``k``'s is K's), or
+    fails naming its key and its flag or ``path:line``. Returns the typed
+    configuration plus the set of keys given explicitly (by file or flag).
     """
     values: dict[str, object] = {spec.name: spec.default for spec in KEY_SPECS}
     given = _config_lines(Path(args.config)) if args.config is not None else []
@@ -194,7 +195,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict[str, object], set[str
         with _naming(where):
             values[key] = _KEYS[key].parse(text)
             for cls in (SynthSpec, TrainConfig, PcmConfig):
-                _check_settings(cls, {key: values[key]})
+                _check_settings(cls, {"K" if key == "k" else key: values[key]})
     return values, {key for key, _, _ in given}
 
 

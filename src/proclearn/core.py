@@ -86,9 +86,9 @@ class UnreadableFileError(OSError):
     """An input path exists but cannot be read: a directory, say, or no permission."""
 
 
-def setting(default, help: str, *, above=None, at_least=None, below=None, at_most=None):
-    """A stage-config field that is also the configuration key of its name, parsed
-    by its default's type; ``_check_settings`` holds its values to the bounds given."""
+def setting(default, help: str = "", *, above=None, at_least=None, below=None, at_most=None):
+    """A stage-config field whose values ``_check_settings`` holds to the bounds given;
+    with a ``help``, also the configuration key of its name, parsed by its default's type."""
     bounds = (">", gt, above), (">=", ge, at_least), ("<", lt, below), ("<=", le, at_most)
     ranged = tuple(bound for bound in bounds if bound[2] is not None)
     return field(default=default, metadata={"help": help, "range": ranged})
@@ -699,9 +699,16 @@ def save_assignment_file(path: str | Path, labels: np.ndarray) -> None:
     _write_file(path, _csv_text([ASSIGNMENT_HEADER.split(","), *rows]))
 
 
+def _int64(text: str) -> int:
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"expected a 64-bit integer, got {value}")
+    return value
+
+
 def load_assignment_file(path: str | Path) -> np.ndarray:
     path = Path(path)
-    _, rows = _csv_rows(path, ASSIGNMENT_HEADER, (int, int))
+    _, rows = _csv_rows(path, ASSIGNMENT_HEADER, (int, _int64))
     for index, (lineno, (frame, _)) in enumerate(rows):
         if frame != index:
             with _naming(f"{path}:{lineno}"):

@@ -104,7 +104,7 @@ class CutResult:
 class PcmConfig:
     """Localization settings; K defaults to ``SynthSpec``'s 5 key-steps."""
 
-    K: int = 5
+    K: int = setting(5, at_least=1)
     smoothness: float = setting(0.5, "n-link capacity between adjacent frames", at_least=0)
     background_bias: float = setting(0.0, "unary offset raising background prevalence")
     kmeans_restarts: int = setting(8, "k-means restarts for foreground clustering", at_least=1)
@@ -112,8 +112,6 @@ class PcmConfig:
 
     def __post_init__(self):
         _check_settings(PcmConfig, vars(self))
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +406,7 @@ def cluster_foreground(
     iterations of the restarts then run as jobs of ``core._parallel_map``.
     """
     points = np.asarray(points, dtype=np.float64)
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    _check_settings(PcmConfig, {"kmeans_restarts": kmeans_restarts})
+    _check_settings(PcmConfig, {"K": K, "kmeans_restarts": kmeans_restarts})
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("need at least one foreground point")
     n = points.shape[0]
@@ -477,8 +473,7 @@ def baseline_random(
     video_lengths: dict[str, int], K: int, seed: int
 ) -> KeyStepAssignment:
     """Uniform random labels in 1..K for every frame; no background."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    _check_settings(PcmConfig, {"K": K})
     rng = np.random.default_rng(seed)
     per_video = {
         video_id: rng.integers(1, K + 1, size=T, dtype=np.int64)

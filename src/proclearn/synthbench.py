@@ -44,7 +44,7 @@ BENCHMARK_METHODS = ("cnc", "cluster_all", "random")
 
 @dataclass(frozen=True)
 class SynthSpec:
-    K: int = 5
+    K: int = setting(5, at_least=1)
     num_videos: int = setting(5, "videos per generated task", at_least=2)
     frames_per_video: int = setting(200, "frames in each generated video", at_least=1)
     feature_dim: int = setting(16, "raw feature dimensionality", at_least=1)
@@ -59,8 +59,6 @@ class SynthSpec:
 
     def __post_init__(self):
         _check_settings(SynthSpec, vars(self))
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
         if self.K > self.frames_per_video:
             raise ValueError(
                 f"K={self.K} exceeds frames_per_video={self.frames_per_video}"

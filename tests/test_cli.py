@@ -592,16 +592,6 @@ def test_run_all_rejects_a_task_name_the_manifest_cannot_store(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "flag", [("--smoothness", "-1"), ("--kmeans_restarts", "0"), ("--learning_rate", "0")]
-)
-def test_run_all_checks_every_stage_setting_before_it_writes(tmp_path, capsys, flag):
-    out = tmp_path / "out"
-    assert _run("run-all", out, *flag) == 5
-    assert flag[0][2:] in capsys.readouterr().err
-    assert not out.exists()
-
-
 def _just_outside(default, relation, bound):
     """The value of ``default``'s type nearest ``bound`` that breaks ``relation``."""
     if relation in ("<", ">"):
@@ -619,18 +609,9 @@ _OUT_OF_RANGE = [
     )
     for cls in (SynthSpec, TrainConfig, PcmConfig)
     for field in fields(cls)
-    for relation, _, bound in field.metadata.get("range", ())
+    if field.metadata.get("help")  # a key; K's range is k's, tested below
+    for relation, _, bound in field.metadata["range"]
 ]
-
-
-@pytest.mark.parametrize("key, relation, bound, value", _OUT_OF_RANGE)
-def test_run_all_fails_first_just_outside_each_declared_range(
-    tmp_path, capsys, key, relation, bound, value
-):
-    out = tmp_path / "out"
-    assert main(["run-all", "--out", str(out), f"--{key}={value!r}"]) == 5
-    assert f"{key} must be {relation} {bound}, got {value!r}" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, relation, bound, value", _OUT_OF_RANGE)
@@ -666,6 +647,20 @@ def test_every_command_fails_first_on_a_config_file_value_out_of_range(
         assert not out.exists()
 
 
+def test_every_command_rejects_k_below_1_first(tmp_path, capsys):
+    # --out does not exist, so a command that read an input first would exit 3.
+    config, out = tmp_path / "run.cfg", tmp_path / "out"
+    config.write_text("# K comes from k\nk = 0\n")
+    for command in _COMMANDS:
+        assert main([command, "--out", str(out), "--k", "0"]) == 5, command
+        message = "proclearn: invalid input: --k: K must be >= 1, got 0\n"
+        assert capsys.readouterr().err == message, command
+        assert main([command, "--out", str(out), "--config", str(config)]) == 5, command
+        message = f"proclearn: invalid input: {config}:2: k: K must be >= 1, got 0\n"
+        assert capsys.readouterr().err == message, command
+        assert not out.exists()
+
+
 def test_help_shows_each_declared_range(capsys):
     with pytest.raises(SystemExit):
         main(["run-all", "--help"])
@@ -674,6 +669,8 @@ def test_help_shows_each_declared_range(capsys):
         "  foreground_ratio_target   default 0.6: target key-step frame fraction (> 0, <= 1)",
         "  hidden_dim                default 32: embedder hidden width (>= 1)",
         "  background_bias           default 0.0: unary offset raising background prevalence",
+        "  k                         default 5: number of key-steps (localize/order default to"
+        " the manifest's) (>= 1)",
     ]:
         assert line in lines
 
@@ -913,6 +910,23 @@ def test_every_input_fault_exits_with_its_code_naming_the_file(
     # A missing file's message is its path alone; any other names its source first.
     named = f"{source}\n" if fault == "missing" else f"{source}: "
     assert capsys.readouterr().err.startswith(f"proclearn: {prefix}: {named}")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "order"])
+@pytest.mark.parametrize("label", ["99999999999999999999999", "-99999999999999999999999"])
+def test_an_assignment_label_outside_int64_exits_4_naming_its_line(
+    tmp_path, capsys, base_tree, command, label
+):
+    out = tmp_path / "out"
+    shutil.copytree(base_tree, out)
+    path = out / "assignments" / "video_02.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = f"1,{label}\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main([command, "--out", str(out)]) == 4
+    message = f"proclearn: bad file format: {path}:3: expected a 64-bit integer, got {label}\n"
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("keep", [39, 41])
