@@ -32,12 +32,10 @@ come from the one table ``_FAILURES``.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -49,8 +47,10 @@ from .core import (
     TaskAnnotation,
     TaskManifest,
     UnreadableFileError,
+    _UINT64,
     _check_settings,
     _naming,
+    _number,
     _read_text,
     _write_file,
     annotation_to_assignment,
@@ -87,51 +87,33 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text.strip(), 10)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {text!r}") from None
-
-
-def _parse_u64(text: str) -> int:
-    value = _parse_int(text)
-    if not (0 <= value < 2**64):
-        raise ConfigError(f"expected an unsigned 64-bit integer, got {value}")
-    return value
-
-
-def _parse_float(text: str) -> float:
-    try:
-        value = float(text.strip())
-    except ValueError:
-        raise ConfigError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {text!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class KeySpec:
     name: str
-    parse: Callable[[str], object]
+    kind: type | range  # str, or the kind core's ``_number`` reads the value as
     default: object
     help: str
     range: str = ""  # the bounds its ``setting`` declares, as --help shows them
 
-
-_TYPE_PARSERS: dict[type, Callable[[str], object]] = {int: _parse_int, float: _parse_float}
+    def parse(self, text: str) -> object:
+        """The stripped ``text``, read as a number by ``_number`` unless the kind is str;
+        a number that does not parse, or a float that is not finite, raises ConfigError."""
+        if self.kind is str:
+            return text.strip()
+        value = _number(text.strip(), self.kind, ConfigError)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"expected a finite number, got {text!r}")
+        return value
 
 
 def _field_key(cls, field, name: str = "", help: str = "") -> KeySpec:
-    """The key ``name`` (default: the field's) that sets ``field`` of ``cls``, parsed by
+    """The key ``name`` (default: the field's) that sets ``field`` of ``cls``, read as
     its default's type; a type other than int or float raises TypeError."""
-    parse = _TYPE_PARSERS.get(type(field.default))
-    if parse is None:
+    if type(field.default) not in (int, float):
         raise TypeError(f"{cls.__name__}.{field.name}: no parser for {field.default!r}")
     bounds = ", ".join(f"{relation} {bound}" for relation, _, bound in field.metadata["range"])
-    return KeySpec(name or field.name, parse, field.default, help or field.metadata["help"],
-                   f" ({bounds})" if bounds else "")
+    return KeySpec(name or field.name, type(field.default), field.default,
+                   help or field.metadata["help"], f" ({bounds})" if bounds else "")
 
 
 def _field_keys(cls) -> list[KeySpec]:
@@ -141,10 +123,10 @@ def _field_keys(cls) -> list[KeySpec]:
 
 
 KEY_SPECS: tuple[KeySpec, ...] = (
-    KeySpec("out", str.strip, ".", "output directory"),
-    KeySpec("manifest", str.strip, "", "manifest path (default: <out>/manifest.csv)"),
-    KeySpec("seed", _parse_u64, SynthSpec.seed, "global seed; stages derive their own streams"),
-    KeySpec("task_name", str.strip, "synthetic", "task name for generated data"),
+    KeySpec("out", str, ".", "output directory"),
+    KeySpec("manifest", str, "", "manifest path (default: <out>/manifest.csv)"),
+    KeySpec("seed", _UINT64, SynthSpec.seed, "global seed; stages derive their own streams"),
+    KeySpec("task_name", str, "synthetic", "task name for generated data"),
     _field_key(SynthSpec, SynthSpec.__dataclass_fields__["K"], "k",
                "number of key-steps (localize/order default to the manifest's)"),
     *_field_keys(SynthSpec),
@@ -340,7 +322,10 @@ def cmd_evaluate(run: _Run) -> None:
 
 
 def cmd_stats(run: _Run) -> None:
-    _write_file(run.out / "stats.csv", format_stats(dataset_stats(run.annotation)))
+    annotation = run.annotation
+    with _naming(run.manifest_path):
+        stats = dataset_stats(annotation)
+    _write_file(run.out / "stats.csv", format_stats(stats))
 
 
 def cmd_run_all(run: _Run) -> None:
@@ -418,10 +403,10 @@ def run(argv: list[str] | None = None) -> None:
 
 # glibc's mallopt parameters (malloc.h) and the values main sets: blocks up
 # to 32 MB (glibc's largest mmap threshold on 64-bit) come from the heap, and
-# up to 3 MB free at its top stay there. Of the trim thresholds swept, 3 MB is
-# the smallest that keeps a training step from faulting pages back in on
-# 5x200, 30x200, 10x512 and 10x1000 frames (2.5 MB left 22 faults a step on
-# 30x200, 2 MB 930 on 10x1000); glibc's default policy left 510 on 5x200.
+# up to 3 MB free at its top stay there. With 3 MB a training step faults
+# under 15 pages back in on 5x200, 30x200, 10x512 and 10x1000 frames (2.5 MB
+# did as well; 2 MB left about 490 a step on 10x512), where glibc's default
+# policy left about 900 on 5x200 (glibc 2.36, 2 vCPUs, BLAS on one thread).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 

@@ -22,6 +22,11 @@ Every input file is opened by ``_open_input``, and every text file, the CLI's
 config file too, is read as UTF-8 by ``_read_text``. Only ``_naming``, and
 ``_open_input`` for an OSError, puts a file, line or flag before an error's message.
 
+Every number read from text, a CSV field, the manifest's K or a config value, is
+read by ``_number`` with one grammar: Python's ``int`` (base 10) or ``float``,
+limited to ASCII text without ``_``. So signs, exponent form, surrounding ASCII
+blanks, ``inf`` and ``nan`` read as Python reads them; ``1_0`` and ``٣`` do not.
+
 Everything here is a pure function over immutable inputs; values are safe
 to share across threads for reading. ``_parallel_map`` is the package's one
 source of threads: it runs a stage's independent jobs on the calling thread
@@ -104,6 +109,26 @@ class _naming(AbstractContextManager):
     def __exit__(self, kind, exc, traceback):
         if isinstance(exc, ValueError):
             raise type(exc)(f"{self.where}: {exc}") from None
+
+
+# The integer ranges ``_number`` may hold a value to, with the noun that names each.
+_INT64, _UINT64 = range(-(2**63), 2**63), range(2**64)
+_RANGE_NOUNS = {_INT64: "a 64-bit integer", _UINT64: "an unsigned 64-bit integer"}
+
+
+def _number(text: str, kind: type | range = int, error: type[ValueError] = FileFormatError):
+    """``text`` read as a float if ``kind`` is float, else as an int, which a range
+    ``kind`` must hold; anything else raises ``error`` "expected <noun>, got <text>"."""
+    try:
+        if not text.isascii() or "_" in text:
+            raise ValueError
+        value = float(text) if kind is float else int(text)
+    except ValueError:
+        noun = "a number" if kind is float else "an integer"
+        raise error(f"expected {noun}, got {text!r}") from None
+    if isinstance(kind, range) and value not in kind:
+        raise error(f"expected {_RANGE_NOUNS[kind]}, got {value}")
+    return value
 
 
 def _check_settings(cls, values) -> None:
@@ -441,8 +466,9 @@ def _read_text(path: Path, error: type[ValueError] = FileFormatError) -> str:
             raise error(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _csv_rows(path: Path, header: str, types: tuple[Callable[[str], object], ...]):
-    """A CSV file's header fields and (line number, fields parsed by ``types``) rows.
+def _csv_rows(path: Path, header: str, kinds: tuple[type | range, ...]):
+    """A CSV file's header fields and (line number, fields) rows, each field kept if
+    its kind is str and otherwise read by ``_number`` as that kind.
 
     Blank lines count in line numbers only; ``<name>`` in ``header`` matches anything."""
     lines = enumerate(_read_text(path).splitlines(), start=1)
@@ -457,12 +483,10 @@ def _csv_rows(path: Path, header: str, types: tuple[Callable[[str], object], ...
     rows = []
     for lineno, parts in numbered[1:]:
         with _naming(f"{path}:{lineno}"):
-            if len(parts) != len(types):
-                raise FileFormatError(f"expected {len(types)} fields, got {len(parts)}")
-            try:
-                rows.append((lineno, [parse(part) for parse, part in zip(types, parts)]))
-            except ValueError as exc:
-                raise FileFormatError(exc) from None
+            if len(parts) != len(kinds):
+                raise FileFormatError(f"expected {len(kinds)} fields, got {len(parts)}")
+            rows.append((lineno, [part if kind is str else _number(part, kind)
+                                  for kind, part in zip(kinds, parts)]))
     return head, rows
 
 
@@ -635,11 +659,7 @@ def load_manifest(path: str | Path) -> TaskManifest:
     base = path.parent
     head, rows = _csv_rows(path, "task,<task_name>,<K>", (str, str, str))
     with _naming(path):
-        try:
-            K = int(head[2])
-        except ValueError:
-            raise FileFormatError(f"K must be an integer, got {head[2]!r}") from None
-        if K < 1:
+        if (K := _number(head[2])) < 1:
             raise FileFormatError(f"K must be >= 1, got {K}")
         if not rows:
             raise FileFormatError("manifest lists no videos")
@@ -699,16 +719,9 @@ def save_assignment_file(path: str | Path, labels: np.ndarray) -> None:
     _write_file(path, _csv_text([ASSIGNMENT_HEADER.split(","), *rows]))
 
 
-def _int64(text: str) -> int:
-    value = int(text)
-    if not -(2**63) <= value < 2**63:
-        raise ValueError(f"expected a 64-bit integer, got {value}")
-    return value
-
-
 def load_assignment_file(path: str | Path) -> np.ndarray:
     path = Path(path)
-    _, rows = _csv_rows(path, ASSIGNMENT_HEADER, (int, _int64))
+    _, rows = _csv_rows(path, ASSIGNMENT_HEADER, (int, _INT64))
     for index, (lineno, (frame, _)) in enumerate(rows):
         if frame != index:
             with _naming(f"{path}:{lineno}"):

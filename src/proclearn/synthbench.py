@@ -53,7 +53,8 @@ class SynthSpec:
     )
     missing_prob: float = setting(0.1, "chance each video drops each step", at_least=0, below=1)
     repeat_prob: float = setting(0.1, "chance each video duplicates a step", at_least=0, below=1)
-    order_jitter: float = setting(0.1, "chance of swapping each adjacent step pair", at_least=0)
+    order_jitter: float = setting(0.1, "chance of swapping each adjacent step pair", at_least=0,
+                                 at_most=1)
     noise_sigma: float = setting(0.05, "feature noise scale", at_least=0)
     seed: int = 7
 

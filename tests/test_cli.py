@@ -929,6 +929,56 @@ def test_an_assignment_label_outside_int64_exits_4_naming_its_line(
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff15"], ids=["_", "arabic", "fullwidth"])
+@pytest.mark.parametrize("kind", ["flag", "config", "manifest", "annotation", "frame", "label"])
+def test_every_number_read_from_text_rejects_underscores_and_non_ascii_digits(
+    tmp_path, capsys, base_tree, kind, text
+):
+    out = tmp_path / "out"
+    shutil.copytree(base_tree, out)
+    manifest = (out / "manifest.csv").read_text()
+    # kind: (command, file in the tree, its new text, the message's source after the file)
+    edits = {
+        "config": ("synth", "run.cfg", f"seed = {text}\n", ":1: seed"),
+        "manifest": ("stats", "manifest.csv", f"task,synthetic,{text}\n"
+                     + manifest.split("\n", 1)[1], ""),
+        "annotation": ("stats", "annotations/video_01.csv",
+                       f"start,end,label\n0.0,{text},1\n", ":2"),
+        "frame": ("evaluate", "assignments/video_01.csv", f"frame,label\n{text},0\n", ":2"),
+        "label": ("evaluate", "assignments/video_01.csv", f"frame,label\n0,{text}\n", ":2"),
+    }
+    capsys.readouterr()
+    if kind == "flag":
+        code = main(["synth", "--out", str(tmp_path / "new"), "--seed", text])
+        source, expected = "--seed", (2, "config error")
+    else:
+        command, relative, data, line = edits[kind]
+        (out / relative).write_text(data)
+        code = main([command, "--out", str(tmp_path / "new" if command == "synth" else out),
+                     "--config", str(out / "run.cfg")])
+        source = f"{out / relative}{line}"
+        expected = (2, "config error") if kind == "config" else (4, "bad file format")
+    noun = "a number" if kind == "annotation" else "an integer"
+    assert (code, capsys.readouterr().err) == (
+        expected[0], f"proclearn: {expected[1]}: {source}: expected {noun}, got {text!r}\n"
+    )
+    assert not (tmp_path / "new").exists()
+
+
+def test_stats_on_a_task_without_key_step_segments_exits_5_naming_the_manifest(
+    tmp_path, capsys, base_tree
+):
+    out = tmp_path / "out"
+    shutil.copytree(base_tree, out)
+    for path in (out / "annotations").iterdir():
+        path.write_text("start,end,label\n")
+    capsys.readouterr()
+    assert main(["stats", "--out", str(out)]) == 5
+    message = f"{out / 'manifest.csv'}: no key-step segments; repetition rate undefined"
+    assert capsys.readouterr().err == f"proclearn: invalid input: {message}\n"
+    assert (out / "stats.csv").read_bytes() == (base_tree / "stats.csv").read_bytes()
+
+
 @pytest.mark.parametrize("keep", [39, 41])
 def test_an_assignment_of_the_wrong_length_exits_5_naming_its_file(
     tmp_path, capsys, base_tree, keep

@@ -39,9 +39,12 @@ from proclearn.core import (
     save_features,
     save_manifest,
     segments_to_frame_labels,
+    _INT64,
+    _UINT64,
     _csv_rows,
     _csv_text,
     _naming,
+    _number,
 )
 from proclearn.embed import TrainConfig, embed_sequence, train_embedder
 from proclearn.procut import PcmConfig, localize
@@ -618,6 +621,35 @@ def test_csv_text_rejects_a_line_that_reads_back_changed(row):
 def test_csv_text_writes_floats_with_6_decimals_and_the_rest_by_str():
     text = _csv_text([("a", 1, 0.5, np.float64(1 / 3), np.int64(7), "2.5")])
     assert text == "a,1,0.500000,0.333333,7,2.5\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("0123456789 \t+-._eEinfaxX\u0663\uff15\u00a0"), max_size=8))
+def test_a_number_reads_as_python_reads_ascii_text_without_underscores(text):
+    for kind in (int, float):
+        try:
+            expected = kind(text) if text.isascii() and "_" not in text else None
+        except ValueError:
+            expected = None
+        if expected is None:
+            noun = "a number" if kind is float else "an integer"
+            with pytest.raises(FileFormatError, match=f"^expected {noun}, got "):
+                _number(text, kind)
+        else:
+            value = _number(text, kind)
+            assert type(value) is kind and repr(value) == repr(expected)
+
+
+def test_a_number_held_to_a_range_names_the_range():
+    assert _number(" -9223372036854775808\n", _INT64) == -(2**63)
+    assert _number("18446744073709551615", _UINT64) == 2**64 - 1
+    with pytest.raises(FileFormatError, match=f"^expected a 64-bit integer, got {2**63}$"):
+        _number(str(2**63), _INT64)
+    with pytest.raises(ValueError, match="^expected an unsigned 64-bit integer, got -1$") as info:
+        _number("-1", _UINT64, ValueError)
+    assert type(info.value) is ValueError
+    with pytest.raises(FileFormatError, match="^expected an integer, got '1.0'$"):
+        _number("1.0", _INT64)
 
 
 def test_assignment_file_errors(tmp_path):
